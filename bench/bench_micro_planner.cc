@@ -8,10 +8,8 @@
 
 #include "common/thread_pool.h"
 #include "core/baselines.h"
-#include "core/batch_planner.h"
 #include "core/evaluator.h"
 #include "core/hill_climber.h"
-#include "core/soa_evaluator.h"
 #include "firewall/imcf_firewall.h"
 #include "trace/dataset.h"
 #include "trace/generator.h"
@@ -49,19 +47,16 @@ core::SlotProblem MakeProblem(int n_rules, double budget_per_rule) {
   return problem;
 }
 
-// Evaluator benches run the configured kernel (SoA by default,
-// -DIMCF_SOA_EVAL=OFF rebuilds them against the legacy kernel);
-// BM_PlanSlotLegacy pins the legacy kernel for in-binary comparison.
 void BM_SlotEvaluateFull(benchmark::State& state) {
   const core::SlotProblem problem =
       MakeProblem(static_cast<int>(state.range(0)), 0.2);
-  const auto evaluator = core::MakeSlotEvaluator(&problem);
+  const core::SlotEvaluator evaluator(&problem);
   Rng rng(1);
   core::Solution s = core::Solution::Init(
       static_cast<size_t>(problem.n_rules), core::InitStrategy::kRandom,
       &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator->Evaluate(s));
+    benchmark::DoNotOptimize(evaluator.Evaluate(s));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(problem.active.size()));
@@ -71,16 +66,16 @@ BENCHMARK(BM_SlotEvaluateFull)->Arg(6)->Arg(24)->Arg(120)->Arg(600);
 void BM_SlotEvaluateDelta(benchmark::State& state) {
   const core::SlotProblem problem =
       MakeProblem(static_cast<int>(state.range(0)), 0.2);
-  const auto evaluator = core::MakeSlotEvaluator(&problem);
+  const core::SlotEvaluator evaluator(&problem);
   Rng rng(1);
   core::Solution s = core::Solution::Init(
       static_cast<size_t>(problem.n_rules), core::InitStrategy::kRandom,
       &rng);
-  const core::Objectives base = evaluator->Evaluate(s);
+  const core::Objectives base = evaluator.Evaluate(s);
   core::FlipBuffer flips;
   for (auto _ : state) {
     core::SampleDistinct(problem.n_rules, 4, &rng, &flips);
-    benchmark::DoNotOptimize(evaluator->EvaluateWithFlips(&s, base, flips));
+    benchmark::DoNotOptimize(evaluator.EvaluateWithFlips(s, base, flips));
   }
 }
 BENCHMARK(BM_SlotEvaluateDelta)->Arg(6)->Arg(24)->Arg(120)->Arg(600);
@@ -91,20 +86,20 @@ BENCHMARK(BM_SlotEvaluateDelta)->Arg(6)->Arg(24)->Arg(120)->Arg(600);
 void BM_EvaluateWithFlipsCached(benchmark::State& state) {
   const core::SlotProblem problem =
       MakeProblem(static_cast<int>(state.range(0)), 0.2);
-  const auto evaluator = core::MakeSlotEvaluator(&problem);
+  const core::SlotEvaluator evaluator(&problem);
   Rng rng(1);
   core::Solution s = core::Solution::Init(
       static_cast<size_t>(problem.n_rules), core::InitStrategy::kRandom,
       &rng);
-  core::Objectives base = evaluator->Evaluate(s);
+  core::Objectives base = evaluator.Evaluate(s);
   core::FlipBuffer flips;
   for (auto _ : state) {
     core::SampleDistinct(problem.n_rules, 4, &rng, &flips);
     const core::Objectives candidate =
-        evaluator->EvaluateWithFlips(&s, base, flips);
+        evaluator.EvaluateWithFlips(s, base, flips);
     benchmark::DoNotOptimize(candidate);
     if (rng.Bernoulli(0.5)) {  // accept: commit and keep the cache in sync
-      evaluator->ApplyFlips(&s, flips);
+      evaluator.ApplyFlips(&s, flips);
       base = candidate;
     }
   }
@@ -114,62 +109,19 @@ BENCHMARK(BM_EvaluateWithFlipsCached)->Arg(6)->Arg(24)->Arg(120)->Arg(600);
 void BM_PlanSlotHillClimbing(benchmark::State& state) {
   const core::SlotProblem problem =
       MakeProblem(static_cast<int>(state.range(0)), 0.1);  // tight budget
-  const auto evaluator = core::MakeSlotEvaluator(&problem);
-  core::HillClimbingPlanner planner;
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.PlanSlot(*evaluator, &rng));
-  }
-}
-BENCHMARK(BM_PlanSlotHillClimbing)->Arg(6)->Arg(24)->Arg(64)->Arg(120)->Arg(600);
-
-// The legacy-kernel reference for the same plan: identical rng stream and
-// trajectory, virtual-dispatch SlotEvaluator. The ratio against
-// BM_PlanSlotHillClimbing is the SoA kernel's speedup.
-void BM_PlanSlotLegacy(benchmark::State& state) {
-  const core::SlotProblem problem =
-      MakeProblem(static_cast<int>(state.range(0)), 0.1);
-  core::SlotEvaluator evaluator(&problem);
+  const core::SlotEvaluator evaluator(&problem);
   core::HillClimbingPlanner planner;
   Rng rng(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(planner.PlanSlot(evaluator, &rng));
   }
 }
-BENCHMARK(BM_PlanSlotLegacy)->Arg(6)->Arg(24)->Arg(64)->Arg(120)->Arg(600);
+BENCHMARK(BM_PlanSlotHillClimbing)->Arg(6)->Arg(24)->Arg(64)->Arg(120)->Arg(600);
 
 // Alias with the historical name used by the perf acceptance criteria:
 // BM_PlanSlot/64 is one EP slot plan on a 64-rule table.
 void BM_PlanSlot(benchmark::State& state) { BM_PlanSlotHillClimbing(state); }
 BENCHMARK(BM_PlanSlot)->Arg(64);
-
-// Cross-household batched planning: one BatchPlanner drives 16 independent
-// slot problems through a shared arena per iteration (the fleet drain's
-// execution model). Time is per batch.
-void BM_PlanSlotBatch(benchmark::State& state) {
-  constexpr int kHouseholds = 16;
-  std::vector<core::SlotProblem> problems;
-  problems.reserve(kHouseholds);
-  for (int i = 0; i < kHouseholds; ++i) {
-    problems.push_back(MakeProblem(static_cast<int>(state.range(0)), 0.1));
-  }
-  core::HillClimbingPlanner planner;
-  core::BatchPlanner batch(&planner);
-  std::vector<Rng> rngs;
-  std::vector<core::BatchPlanItem> items;
-  for (int i = 0; i < kHouseholds; ++i) {
-    rngs.emplace_back(MixHash(7, static_cast<uint64_t>(i)));
-  }
-  for (int i = 0; i < kHouseholds; ++i) {
-    items.push_back({&problems[static_cast<size_t>(i)],
-                     &rngs[static_cast<size_t>(i)]});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.PlanBatch(items));
-  }
-  state.SetItemsProcessed(state.iterations() * kHouseholds);
-}
-BENCHMARK(BM_PlanSlotBatch)->Arg(24)->Arg(120);
 
 // Parallel planning substrate: `state.range(0)` worker threads plan 64
 // independent 64-rule slot problems per iteration (one evaluator per task —
@@ -190,11 +142,11 @@ void BM_PlanSlotParallel(benchmark::State& state) {
   for (auto _ : state) {
     ParallelFor(threads > 1 ? &pool : nullptr, kTasks,
                 [&problems, &planner, &errors](int i) {
-                  const auto evaluator = core::MakeSlotEvaluator(
+                  const core::SlotEvaluator evaluator(
                       &problems[static_cast<size_t>(i)]);
                   Rng rng(MixHash(kSeed, static_cast<uint64_t>(i)));
                   errors[static_cast<size_t>(i)] =
-                      planner.PlanSlot(*evaluator, &rng).objectives.error_sum;
+                      planner.PlanSlot(evaluator, &rng).objectives.error_sum;
                 });
     benchmark::DoNotOptimize(errors.data());
   }

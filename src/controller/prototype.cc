@@ -9,7 +9,6 @@
 #include "controller/scheduler.h"
 #include "core/evaluator.h"
 #include "core/slot_problem.h"
-#include "core/soa_evaluator.h"
 #include "devices/energy_model.h"
 #include "energy/budget.h"
 #include "fault/command_bus.h"
@@ -212,8 +211,7 @@ Result<PrototypeReport> PrototypeStudy::Run(
         const double hourly = plan.HourlyBudget(midpoint);
         problem.budget_kwh = hourly + carry;
         plan_arena.Reset();
-        const std::unique_ptr<core::Evaluator> evaluator =
-            core::MakeSlotEvaluator(&problem, &plan_arena);
+        const core::SlotEvaluator evaluator(&problem, &plan_arena);
 
         static obs::Histogram* const plan_ns =
             obs::MetricRegistry::Default().GetHistogram(
@@ -223,7 +221,7 @@ Result<PrototypeReport> PrototypeStudy::Run(
         core::PlanOutcome outcome;
         {
           obs::ScopedTimer plan_span(plan_ns, &report.ft_seconds);
-          outcome = planner.PlanSlot(*evaluator, &rng);
+          outcome = planner.PlanSlot(evaluator, &rng);
         }
 
         // Install firewall verdicts and route the commands.

@@ -11,8 +11,8 @@ namespace core {
 SimulatedAnnealingPlanner::SimulatedAnnealingPlanner(SaOptions options)
     : options_(options) {}
 
-PlanOutcome SimulatedAnnealingPlanner::PlanSlot(const Evaluator& evaluator,
-                                                Rng* rng) const {
+PlanOutcome SimulatedAnnealingPlanner::PlanSlot(
+    const SlotEvaluator& evaluator, Rng* rng) const {
   const SlotProblem& problem = evaluator.problem();
   const int n = problem.n_rules;
   const double budget = problem.budget_kwh;
@@ -40,7 +40,7 @@ PlanOutcome SimulatedAnnealingPlanner::PlanSlot(const Evaluator& evaluator,
     const int j = 1 + static_cast<int>(rng->UniformInt(0, k - 1));
     SampleDistinct(n, j, rng, &flips);
     const Objectives candidate =
-        evaluator.EvaluateWithFlips(&current, current_obj, flips);
+        evaluator.EvaluateWithFlips(current, current_obj, flips);
     const bool candidate_feasible = candidate.FeasibleUnder(budget);
 
     bool accept;

@@ -32,7 +32,7 @@ class SimulatedAnnealingPlanner : public SlotPlanner {
  public:
   explicit SimulatedAnnealingPlanner(SaOptions options = {});
 
-  PlanOutcome PlanSlot(const Evaluator& evaluator,
+  PlanOutcome PlanSlot(const SlotEvaluator& evaluator,
                        Rng* rng) const override;
 
   std::string name() const override { return "SA"; }

@@ -3,7 +3,7 @@
 namespace imcf {
 namespace core {
 
-PlanOutcome NoRulePlanner::PlanSlot(const Evaluator& evaluator,
+PlanOutcome NoRulePlanner::PlanSlot(const SlotEvaluator& evaluator,
                                     Rng* rng) const {
   (void)rng;
   const SlotProblem& problem = evaluator.problem();
@@ -14,7 +14,7 @@ PlanOutcome NoRulePlanner::PlanSlot(const Evaluator& evaluator,
   return outcome;
 }
 
-PlanOutcome MetaRulePlanner::PlanSlot(const Evaluator& evaluator,
+PlanOutcome MetaRulePlanner::PlanSlot(const SlotEvaluator& evaluator,
                                       Rng* rng) const {
   (void)rng;
   const SlotProblem& problem = evaluator.problem();

@@ -18,7 +18,7 @@ namespace core {
 /// Drops every convenience rule.
 class NoRulePlanner : public SlotPlanner {
  public:
-  PlanOutcome PlanSlot(const Evaluator& evaluator,
+  PlanOutcome PlanSlot(const SlotEvaluator& evaluator,
                        Rng* rng) const override;
   std::string name() const override { return "NR"; }
 };
@@ -26,7 +26,7 @@ class NoRulePlanner : public SlotPlanner {
 /// Adopts every convenience rule, regardless of the budget.
 class MetaRulePlanner : public SlotPlanner {
  public:
-  PlanOutcome PlanSlot(const Evaluator& evaluator,
+  PlanOutcome PlanSlot(const SlotEvaluator& evaluator,
                        Rng* rng) const override;
   std::string name() const override { return "MR"; }
 };

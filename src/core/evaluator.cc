@@ -25,53 +25,136 @@ double NormalizedError(devices::CommandType type, double desired,
   return Clamp((desired - actual) / kLightErrorRange, 0.0, 1.0);
 }
 
-void Evaluator::FlushCacheStats(const char* kernel) const {
+
+SlotEvaluator::SlotEvaluator(const SlotProblem* problem, PlanArena* arena)
+    : problem_(problem) {
+  if (arena == nullptr) {
+    owned_arena_ = std::make_unique<PlanArena>();
+    arena = owned_arena_.get();
+  }
+  n_rules_ = problem->n_rules;
+  n_groups_ = static_cast<int32_t>(problem->groups.size());
+  n_members_ = static_cast<int32_t>(problem->active.size());
+
+  int32_t* group_off = arena->AllocateArray<int32_t>(
+      static_cast<size_t>(n_groups_) + 1);
+  int32_t* member_rule =
+      arena->AllocateArray<int32_t>(static_cast<size_t>(n_members_));
+  int32_t* group_of_rule = arena->AllocateArray<int32_t>(
+      static_cast<size_t>(std::max(n_rules_, 1)));
+  double* contrib_energy = arena->AllocateArray<double>(
+      static_cast<size_t>(n_members_ + n_groups_));
+  double* contrib_error = arena->AllocateArray<double>(
+      static_cast<size_t>(n_members_ + n_groups_));
+  // Construction-only scratch: member position -> active-rule id. Lives in
+  // the arena like everything else; a few bytes of slack until Reset().
+  int32_t* member_active =
+      arena->AllocateArray<int32_t>(static_cast<size_t>(n_members_));
+
+  std::fill(group_of_rule, group_of_rule + std::max(n_rules_, 1), -1);
+
+  // CSR member columns via counting sort, then per-group ordering by
+  // rule_index descending so winner scans early-exit at the first adopted
+  // member.
+  std::fill(group_off, group_off + n_groups_ + 1, 0);
+  for (const ActiveRule& rule : problem->active) {
+    ++group_off[rule.group + 1];
+  }
+  for (int32_t g = 0; g < n_groups_; ++g) {
+    group_off[g + 1] += group_off[g];
+  }
+  {
+    // Temporary per-group write cursors (arena scratch, like the rest).
+    int32_t* cursor = arena->AllocateArray<int32_t>(
+        static_cast<size_t>(std::max<int32_t>(n_groups_, 1)));
+    std::copy(group_off, group_off + n_groups_, cursor);
+    for (size_t i = 0; i < problem->active.size(); ++i) {
+      const ActiveRule& rule = problem->active[i];
+      member_active[cursor[rule.group]++] = static_cast<int32_t>(i);
+      group_of_rule[rule.rule_index] = rule.group;
+    }
+  }
+  for (int32_t g = 0; g < n_groups_; ++g) {
+    std::sort(member_active + group_off[g], member_active + group_off[g + 1],
+              [problem](int32_t a, int32_t b) {
+                return problem->active[static_cast<size_t>(a)].rule_index >
+                       problem->active[static_cast<size_t>(b)].rule_index;
+              });
+  }
+  for (int32_t m = 0; m < n_members_; ++m) {
+    member_rule[m] =
+        problem->active[static_cast<size_t>(member_active[m])].rule_index;
+  }
+
+  // Pre-tabulate every group contribution: a group's energy and error
+  // depend only on which member wins (losers and non-adopted members are
+  // both measured against the winner's setpoint; with no winner every
+  // member contributes its drop error). Errors accumulate in member order.
+  for (int32_t g = 0; g < n_groups_; ++g) {
+    const size_t base = static_cast<size_t>(group_off[g] + g);
+    double none_error = 0.0;
+    for (int32_t m = group_off[g]; m < group_off[g + 1]; ++m) {
+      none_error +=
+          problem->active[static_cast<size_t>(member_active[m])].drop_error;
+    }
+    contrib_energy[base] = 0.0;
+    contrib_error[base] = none_error;
+    for (int32_t w = group_off[g]; w < group_off[g + 1]; ++w) {
+      const ActiveRule& winner =
+          problem->active[static_cast<size_t>(member_active[w])];
+      double error = 0.0;
+      for (int32_t m = group_off[g]; m < group_off[g + 1]; ++m) {
+        if (m == w) continue;  // the winner holds its setpoint
+        const ActiveRule& rule =
+            problem->active[static_cast<size_t>(member_active[m])];
+        error += NormalizedError(rule.type, rule.desired, winner.desired);
+      }
+      const size_t idx = base + 1 + static_cast<size_t>(w - group_off[g]);
+      contrib_energy[idx] = winner.energy_kwh;
+      contrib_error[idx] = error;
+    }
+  }
+
+  group_off_ = group_off;
+  member_rule_ = member_rule;
+  group_of_rule_ = group_of_rule;
+  contrib_energy_ = contrib_energy;
+  contrib_error_ = contrib_error;
+
+  winner_pos_ =
+      arena->AllocateArray<int32_t>(static_cast<size_t>(n_groups_));
+  const size_t mirror_words =
+      std::max<size_t>(static_cast<size_t>(n_rules_ + 63) / 64, 1);
+  mirror_ = arena->AllocateArray<uint64_t>(mirror_words);
+  std::memset(mirror_, 0, mirror_words * sizeof(uint64_t));
+  // mirror_size_ == -1: every group is stale until the first Evaluate.
+}
+
+SlotEvaluator::~SlotEvaluator() {
   // Evaluators are per-(thread, slot), so flushing once at destruction
-  // turns millions of plain-int bumps into four relaxed atomic adds. Both
-  // kernels aggregate under one counter family distinguished by the
-  // kernel= label, so legacy vs SoA hit rates compare directly in a
-  // metrics snapshot.
+  // turns millions of plain-int bumps into four relaxed atomic adds.
   using obs::Counter;
-  struct Family {
-    Counter* hits;
-    Counter* misses;
-    Counter* fulls;
-    Counter* applies;
-  };
-  static const auto make = [](const char* name) {
-    auto& reg = obs::MetricRegistry::Default();
-    const obs::Labels labels = {{"kernel", name}};
-    return Family{
-        reg.GetCounter(
-            "imcf_evaluator_cache_hits_total",
-            "Touched-group contributions served from the incremental cache",
-            labels),
-        reg.GetCounter(
-            "imcf_evaluator_cache_misses_total",
-            "Touched-group contributions recomputed via winner rescan",
-            labels),
-        reg.GetCounter("imcf_evaluator_full_evals_total",
-                       "Full Evaluate() passes", labels),
-        reg.GetCounter("imcf_evaluator_apply_flips_total",
-                       "Accepted moves applied", labels)};
-  };
-  static const Family legacy = make("legacy");
-  static const Family soa = make("soa");
-  const Family& family = std::strcmp(kernel, "soa") == 0 ? soa : legacy;
-  if (cache_stats_.cache_hits != 0) {
-    family.hits->Increment(cache_stats_.cache_hits);
-  }
+  auto& reg = obs::MetricRegistry::Default();
+  static Counter* const hits = reg.GetCounter(
+      "imcf_evaluator_cache_hits_total",
+      "Touched-group contributions served from the incremental cache");
+  static Counter* const misses = reg.GetCounter(
+      "imcf_evaluator_cache_misses_total",
+      "Touched-group contributions recomputed via winner rescan");
+  static Counter* const fulls = reg.GetCounter(
+      "imcf_evaluator_full_evals_total", "Full Evaluate() passes");
+  static Counter* const applies = reg.GetCounter(
+      "imcf_evaluator_apply_flips_total", "Accepted moves applied");
+  if (cache_stats_.cache_hits != 0) hits->Increment(cache_stats_.cache_hits);
   if (cache_stats_.cache_misses != 0) {
-    family.misses->Increment(cache_stats_.cache_misses);
+    misses->Increment(cache_stats_.cache_misses);
   }
-  if (cache_stats_.full_evals != 0) {
-    family.fulls->Increment(cache_stats_.full_evals);
-  }
+  if (cache_stats_.full_evals != 0) fulls->Increment(cache_stats_.full_evals);
   if (cache_stats_.apply_flips != 0) {
-    family.applies->Increment(cache_stats_.apply_flips);
+    applies->Increment(cache_stats_.apply_flips);
   }
-  // Per-tenant attribution: both kernels destruct inside the planning
-  // scope, so the thread's ambient cost sink (if any) charges the flip
+  // Per-tenant attribution: evaluators destruct inside the planning scope,
+  // so the thread's ambient cost sink (if any) charges the flip
   // evaluations to the tenant being planned. Deterministic: these are
   // pure counts of planner work, independent of worker count.
   IMCF_COST_ADD_FLIP_EVALS(cache_stats_.cache_hits +
@@ -79,237 +162,66 @@ void Evaluator::FlushCacheStats(const char* kernel) const {
                            cache_stats_.full_evals);
 }
 
-SlotEvaluator::SlotEvaluator(const SlotProblem* problem)
-    : Evaluator(problem) {
-  members_.resize(problem_->groups.size());
-  active_of_rule_.assign(static_cast<size_t>(problem_->n_rules), -1);
-  for (size_t i = 0; i < problem_->active.size(); ++i) {
-    const ActiveRule& rule = problem_->active[i];
-    members_[static_cast<size_t>(rule.group)].push_back(static_cast<int>(i));
-    active_of_rule_[static_cast<size_t>(rule.rule_index)] =
-        static_cast<int>(i);
-  }
-
-  // Winner scans early-exit at the first adopted member when the member
-  // list is ordered by table position descending.
-  for (std::vector<int>& member_ids : members_) {
-    std::sort(member_ids.begin(), member_ids.end(), [this](int a, int b) {
-      return problem_->active[static_cast<size_t>(a)].rule_index >
-             problem_->active[static_cast<size_t>(b)].rule_index;
-    });
-  }
-
-  // Pre-tabulate every group contribution: a group's energy and error
-  // depend only on which member wins (losers and non-adopted members are
-  // both measured against the winner's setpoint; with no winner every
-  // member contributes its drop error).
-  contrib_offset_.resize(members_.size());
-  for (size_t g = 0; g < members_.size(); ++g) {
-    const std::vector<int>& member_ids = members_[g];
-    contrib_offset_[g] = static_cast<int>(contrib_.size());
-    Objectives none;
-    for (int id : member_ids) {
-      none.error_sum += problem_->active[static_cast<size_t>(id)].drop_error;
-    }
-    contrib_.push_back(none);
-    for (int winner_id : member_ids) {
-      const ActiveRule& winner =
-          problem_->active[static_cast<size_t>(winner_id)];
-      Objectives entry;
-      entry.energy_kwh = winner.energy_kwh;
-      for (int id : member_ids) {
-        if (id == winner_id) continue;  // the winner holds its setpoint
-        const ActiveRule& rule = problem_->active[static_cast<size_t>(id)];
-        entry.error_sum +=
-            NormalizedError(rule.type, rule.desired, winner.desired);
-      }
-      contrib_.push_back(entry);
-    }
-  }
-
-  group_cache_.resize(members_.size());
-  group_winner_.assign(members_.size(), -1);
-  // cache_solution_ starts empty (size 0 != n_rules unless the problem is
-  // trivial), so every group reads as stale until the first Evaluate.
-}
-
-SlotEvaluator::~SlotEvaluator() { FlushCacheStats("legacy"); }
-
-int SlotEvaluator::WinnerPos(const Solution& s, int group) const {
-  const std::vector<int>& member_ids = members_[static_cast<size_t>(group)];
-  for (size_t k = 0; k < member_ids.size(); ++k) {
-    const ActiveRule& rule =
-        problem_->active[static_cast<size_t>(member_ids[k])];
-    if (s.adopted(static_cast<size_t>(rule.rule_index))) {
-      return static_cast<int>(k);
-    }
-  }
-  return -1;
-}
-
-int SlotEvaluator::WinnerPosFlippedOne(const Solution& s, int group,
-                                       int rule_index) const {
-  const std::vector<int>& member_ids = members_[static_cast<size_t>(group)];
-  for (size_t k = 0; k < member_ids.size(); ++k) {
-    const ActiveRule& rule =
-        problem_->active[static_cast<size_t>(member_ids[k])];
-    bool bit = s.adopted(static_cast<size_t>(rule.rule_index));
-    if (rule.rule_index == rule_index) bit = !bit;
-    if (bit) return static_cast<int>(k);
-  }
-  return -1;
-}
-
-bool SlotEvaluator::GroupFresh(const Solution& s, int group) const {
-  if (cache_solution_.size() != s.size()) return false;
-  for (int id : members_[static_cast<size_t>(group)]) {
-    const size_t r = static_cast<size_t>(
-        problem_->active[static_cast<size_t>(id)].rule_index);
-    if (s.adopted(r) != cache_solution_.adopted(r)) return false;
-  }
-  return true;
-}
-
-void SlotEvaluator::RefreshGroup(const Solution& s, int group) const {
-  const int pos = WinnerPos(s, group);
-  group_cache_[static_cast<size_t>(group)] = GroupContribution(group, pos);
-  group_winner_[static_cast<size_t>(group)] = pos;
-  for (int id : members_[static_cast<size_t>(group)]) {
-    const size_t r = static_cast<size_t>(
-        problem_->active[static_cast<size_t>(id)].rule_index);
-    cache_solution_.set(r, s.adopted(r));
-  }
-}
-
-Objectives SlotEvaluator::EvaluateNoSync(const Solution& s) const {
-  Objectives total;
-  total.energy_kwh = problem_->base_energy_kwh;
-  for (size_t g = 0; g < members_.size(); ++g) {
-    const Objectives& group =
-        GroupContribution(static_cast<int>(g), WinnerPos(s, static_cast<int>(g)));
-    total.energy_kwh += group.energy_kwh;
-    total.error_sum += group.error_sum;
-  }
-  return total;
-}
-
 Objectives SlotEvaluator::Evaluate(const Solution& s) const {
   ++cache_stats_.full_evals;
   Objectives total;
   total.energy_kwh = problem_->base_energy_kwh;
-  cache_solution_ = s;
-  for (size_t g = 0; g < members_.size(); ++g) {
-    const int pos = WinnerPos(s, static_cast<int>(g));
-    const Objectives& group = GroupContribution(static_cast<int>(g), pos);
-    group_cache_[g] = group;
-    group_winner_[g] = pos;
-    total.energy_kwh += group.energy_kwh;
-    total.error_sum += group.error_sum;
+  for (int32_t g = 0; g < n_groups_; ++g) {
+    const int32_t pos = WinnerPos(s, g);
+    winner_pos_[g] = pos;
+    const size_t idx = ContribIndex(g, pos);
+    total.energy_kwh += contrib_energy_[idx];
+    total.error_sum += contrib_error_[idx];
   }
+  SyncMirror(s);
   return total;
 }
 
-Objectives SlotEvaluator::EvaluateWithFlips(
-    Solution* s, const Objectives& base, std::span<const int> flips) const {
-  // Collect the distinct groups touched by active flipped rules. k is tiny
-  // (≤ 8 in all experiments) so a linear dedup suffices.
-  int touched[16];
-  int n_touched = 0;
-  for (int rule_index : flips) {
-    const int active_id = active_of_rule_[static_cast<size_t>(rule_index)];
-    if (active_id < 0) continue;  // inactive rules don't affect the slot
-    const int group =
-        problem_->active[static_cast<size_t>(active_id)].group;
-    bool seen = false;
-    for (int i = 0; i < n_touched; ++i) {
-      if (touched[i] == group) {
-        seen = true;
-        break;
-      }
+void SlotEvaluator::SyncMirror(const Solution& s) const {
+  const size_t mirror_words = static_cast<size_t>(n_rules_ + 63) / 64;
+  const size_t limit = std::min(s.size(), static_cast<size_t>(n_rules_));
+  const uint8_t* bytes = s.data();
+  size_t r = 0;
+  size_t w = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  // SWAR pack: the solution stores one 0/1 byte per rule. For an 8-byte
+  // group, (bytes & 0x0101..01) * 0x0102040810204080 places byte j's low
+  // bit at product bit 56 + j, so the top byte of the product is the
+  // 8-bit pack of the group (little-endian load order == rule order).
+  // A branchy per-bit loop here made full evaluation measurably slower;
+  // this is ~9 ops per 8 rules.
+  constexpr uint64_t kLowBits = 0x0101010101010101ULL;
+  constexpr uint64_t kPackMul = 0x0102040810204080ULL;
+  for (; r + 64 <= limit; r += 64, ++w) {
+    uint64_t word = 0;
+    for (int g = 0; g < 8; ++g) {
+      uint64_t b8;
+      std::memcpy(&b8, bytes + r + 8 * static_cast<size_t>(g), 8);
+      word |= (((b8 & kLowBits) * kPackMul) >> 56) << (8 * g);
     }
-    if (!seen && n_touched < 16) touched[n_touched++] = group;
+    mirror_[w] = word;
   }
-  if (n_touched == 16) {
-    // Degenerate (k too large for the fast path): fall back to a full
-    // evaluation of a flipped copy, leaving the cache bound to *s.
-    Solution flipped = *s;
-    for (int rule_index : flips) flipped.flip(static_cast<size_t>(rule_index));
-    return EvaluateNoSync(flipped);
+#endif
+  // Scalar tail (and the whole range on big-endian targets).
+  for (size_t t = w; t < std::max<size_t>(mirror_words, 1); ++t) {
+    mirror_[t] = 0;
   }
-
-  Objectives out = base;
-  // Remove old group contributions (cached when fresh), apply flips, add
-  // new contributions, revert.
-  for (int i = 0; i < n_touched; ++i) {
-    const bool fresh = GroupFresh(*s, touched[i]);
-    if (fresh) {
-      ++cache_stats_.cache_hits;
-    } else {
-      ++cache_stats_.cache_misses;
-    }
-    const Objectives& before =
-        fresh ? group_cache_[static_cast<size_t>(touched[i])]
-              : GroupContribution(touched[i], WinnerPos(*s, touched[i]));
-    out.energy_kwh -= before.energy_kwh;
-    out.error_sum -= before.error_sum;
+  for (; r < limit; ++r) {
+    if (bytes[r] != 0) mirror_[r >> 6] |= uint64_t{1} << (r & 63);
   }
-  for (int rule_index : flips) s->flip(static_cast<size_t>(rule_index));
-  for (int i = 0; i < n_touched; ++i) {
-    const Objectives& after =
-        GroupContribution(touched[i], WinnerPos(*s, touched[i]));
-    out.energy_kwh += after.energy_kwh;
-    out.error_sum += after.error_sum;
-  }
-  for (int rule_index : flips) s->flip(static_cast<size_t>(rule_index));
-  return out;
+  mirror_size_ = static_cast<int64_t>(s.size());
 }
 
-Evaluator::FlipDelta SlotEvaluator::SingleFlipDelta(const Solution& s,
-                                                    int rule_index) const {
-  FlipDelta delta;
-  const int active_id = active_of_rule_[static_cast<size_t>(rule_index)];
-  if (active_id < 0) return delta;  // inactive: nothing changes
-  const int group = problem_->active[static_cast<size_t>(active_id)].group;
-  const bool fresh = GroupFresh(s, group);
-  if (fresh) {
-    ++cache_stats_.cache_hits;
-  } else {
-    ++cache_stats_.cache_misses;
+Objectives SlotEvaluator::EvaluateFlippedFull(
+    const Solution& s, std::span<const int> flips) const {
+  Objectives total;
+  total.energy_kwh = problem_->base_energy_kwh;
+  for (int32_t g = 0; g < n_groups_; ++g) {
+    const size_t idx = ContribIndex(g, WinnerPosFlipped(s, g, flips));
+    total.energy_kwh += contrib_energy_[idx];
+    total.error_sum += contrib_error_[idx];
   }
-  const Objectives& before =
-      fresh ? group_cache_[static_cast<size_t>(group)]
-            : GroupContribution(group, WinnerPos(s, group));
-  const Objectives& after =
-      GroupContribution(group, WinnerPosFlippedOne(s, group, rule_index));
-  delta.before_energy = before.energy_kwh;
-  delta.before_error = before.error_sum;
-  delta.after_energy = after.energy_kwh;
-  delta.after_error = after.error_sum;
-  return delta;
-}
-
-void SlotEvaluator::ApplyFlips(Solution* s,
-                               std::span<const int> flips) const {
-  ++cache_stats_.apply_flips;
-  for (int rule_index : flips) s->flip(static_cast<size_t>(rule_index));
-  if (cache_solution_.size() != s->size()) {
-    // The cache was never synchronized with a solution of this shape;
-    // Evaluate() is the designated sync point.
-    Evaluate(*s);
-    return;
-  }
-  touched_scratch_.clear();
-  for (int rule_index : flips) {
-    const int active_id = active_of_rule_[static_cast<size_t>(rule_index)];
-    if (active_id < 0) continue;
-    const int group =
-        problem_->active[static_cast<size_t>(active_id)].group;
-    if (std::find(touched_scratch_.begin(), touched_scratch_.end(), group) ==
-        touched_scratch_.end()) {
-      touched_scratch_.push_back(group);
-    }
-  }
-  for (int group : touched_scratch_) RefreshGroup(*s, group);
+  return total;
 }
 
 Objectives SlotEvaluator::NoRuleObjectives() const {
@@ -322,8 +234,8 @@ Objectives SlotEvaluator::NoRuleObjectives() const {
 }
 
 Objectives SlotEvaluator::AllRulesObjectives() const {
-  Solution all_ones(static_cast<size_t>(problem_->n_rules), 1);
-  return EvaluateNoSync(all_ones);
+  const Solution all_ones(static_cast<size_t>(n_rules_), 1);
+  return EvaluateFlippedFull(all_ones, {});
 }
 
 }  // namespace core

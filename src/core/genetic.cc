@@ -25,7 +25,7 @@ struct Member {
 
 GeneticPlanner::GeneticPlanner(GaOptions options) : options_(options) {}
 
-PlanOutcome GeneticPlanner::PlanSlot(const Evaluator& evaluator,
+PlanOutcome GeneticPlanner::PlanSlot(const SlotEvaluator& evaluator,
                                      Rng* rng) const {
   const SlotProblem& problem = evaluator.problem();
   const size_t n = static_cast<size_t>(problem.n_rules);

@@ -33,7 +33,7 @@ class GeneticPlanner : public SlotPlanner {
  public:
   explicit GeneticPlanner(GaOptions options = {});
 
-  PlanOutcome PlanSlot(const Evaluator& evaluator,
+  PlanOutcome PlanSlot(const SlotEvaluator& evaluator,
                        Rng* rng) const override;
 
   std::string name() const override { return "GA"; }

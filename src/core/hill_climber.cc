@@ -5,7 +5,6 @@
 #include <queue>
 #include <vector>
 
-#include "core/soa_evaluator.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -107,13 +106,12 @@ namespace {
 // rules — the previous dominant cost of planning large tables. Ties in
 // ratio resolve to the earliest active-rule position, the old full-scan's
 // first-max order.
-template <class Eval>
-void GreedyRepairImpl(const Eval& evaluator, double budget,
-                      PlanOutcome* outcome) {
+void GreedyRepair(const SlotEvaluator& evaluator, double budget,
+                  PlanOutcome* outcome) {
   struct Entry {
     int rule;
     int group;
-    Evaluator::FlipDelta delta;
+    SlotEvaluator::FlipDelta delta;
     uint32_t version = 0;
     bool dirty = true;
   };
@@ -215,14 +213,10 @@ void GreedyRepairImpl(const Eval& evaluator, double budget,
   outcome->feasible = outcome->objectives.FeasibleUnder(budget);
 }
 
-// The planning loop, statically bound to the evaluator's concrete type.
-// Instantiated for SoaEvaluator (devirtualized + inlined delta path — the
-// bulk of the SoA kernel's speedup) and once for the generic Evaluator
-// base (legacy kernel, virtual dispatch). Identical code, identical rng
-// stream, so the two kernels trace the same trajectory.
-template <class Eval>
-PlanOutcome PlanSlotImpl(const Eval& evaluator, const EpOptions& options,
-                         int tau_max, Rng* rng) {
+// The planning loop. The evaluator's delta methods are inline, so the
+// move loop below runs without a call per candidate.
+PlanOutcome PlanSlotImpl(const SlotEvaluator& evaluator,
+                         const EpOptions& options, int tau_max, Rng* rng) {
   const SlotProblem& problem = evaluator.problem();
   const int n = problem.n_rules;
   const double budget = problem.budget_kwh;
@@ -232,7 +226,7 @@ PlanOutcome PlanSlotImpl(const Eval& evaluator, const EpOptions& options,
   outcome.objectives = evaluator.Evaluate(outcome.solution);
   outcome.feasible = outcome.objectives.FeasibleUnder(budget);
   if (!outcome.feasible && options.greedy_repair) {
-    GreedyRepairImpl(evaluator, budget, &outcome);
+    GreedyRepair(evaluator, budget, &outcome);
   }
 
   const int k = std::min(options.k, FlipBuffer::kCapacity);
@@ -248,7 +242,7 @@ PlanOutcome PlanSlotImpl(const Eval& evaluator, const EpOptions& options,
     const int j = 1 + static_cast<int>(rng->UniformInt(0, k - 1));
     SampleDistinct(n, j, rng, &flips);
     const Objectives candidate =
-        evaluator.EvaluateWithFlips(&outcome.solution, outcome.objectives,
+        evaluator.EvaluateWithFlips(outcome.solution, outcome.objectives,
                                     flips);
     const bool candidate_feasible = candidate.FeasibleUnder(budget);
     bool accept;
@@ -289,19 +283,13 @@ PlanOutcome PlanSlotImpl(const Eval& evaluator, const EpOptions& options,
 
 }  // namespace
 
-PlanOutcome HillClimbingPlanner::PlanSlot(const Evaluator& evaluator,
+PlanOutcome HillClimbingPlanner::PlanSlot(const SlotEvaluator& evaluator,
                                           Rng* rng) const {
   // Under a traced request this nests inside plan.slot; a bare PlanSlot
   // (micro-bench, unit test) has no ambient context and the span is inert.
   IMCF_TRACE_SPAN(search_span, "ep.search", "core");
   const int tau_max = EffectiveTauMax(evaluator.problem().n_rules);
-
-  PlanOutcome outcome;
-  if (const SoaEvaluator* soa = evaluator.AsSoa()) {
-    outcome = PlanSlotImpl(*soa, options_, tau_max, rng);
-  } else {
-    outcome = PlanSlotImpl(evaluator, options_, tau_max, rng);
-  }
+  PlanOutcome outcome = PlanSlotImpl(evaluator, options_, tau_max, rng);
 
   // Counters are batched per plan: plain-int tallies in the loop above, one
   // relaxed atomic add per metric here. Function-local statics keep the

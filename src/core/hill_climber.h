@@ -82,7 +82,7 @@ class HillClimbingPlanner : public SlotPlanner {
  public:
   explicit HillClimbingPlanner(EpOptions options = {});
 
-  PlanOutcome PlanSlot(const Evaluator& evaluator,
+  PlanOutcome PlanSlot(const SlotEvaluator& evaluator,
                        Rng* rng) const override;
 
   std::string name() const override { return "EP"; }

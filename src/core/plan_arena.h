@@ -1,11 +1,11 @@
 // Bump allocator backing the planner's per-slot columnar state.
 //
-// The SoA evaluator flattens a SlotProblem into a handful of parallel
+// The slot evaluator flattens a SlotProblem into a handful of parallel
 // arrays whose lifetime is exactly one planning pass. Allocating them
-// individually (the legacy evaluator's vector-of-vectors) costs a dozen
-// heap round trips per slot and scatters the columns across the heap; the
-// arena packs them back to back in cache-line-aligned blocks and recycles
-// the blocks across slots via Reset().
+// individually costs a dozen heap round trips per slot and scatters the
+// columns across the heap; the arena packs them back to back in
+// cache-line-aligned blocks and recycles the blocks across slots via
+// Reset().
 //
 // Lifetime rules (see DESIGN.md §12):
 //  * An evaluator borrows the arena; it never outlives the memory. Reset()
@@ -33,8 +33,7 @@ namespace core {
 /// Cache-line-aligned bump allocator with block recycling.
 class PlanArena {
  public:
-  /// Every allocation is aligned to this many bytes (one x86 cache line,
-  /// and enough for any SIMD load the kernels use).
+  /// Every allocation is aligned to this many bytes (one x86 cache line).
   static constexpr size_t kAlignment = 64;
 
   explicit PlanArena(size_t first_block_bytes = 16 * 1024);

@@ -36,9 +36,8 @@ class SlotPlanner {
   virtual ~SlotPlanner() = default;
 
   /// Produces an adoption vector for the evaluator's slot. Implementations
-  /// must be deterministic given the Rng stream, and work against any
-  /// Evaluator kernel (legacy or SoA).
-  virtual PlanOutcome PlanSlot(const Evaluator& evaluator,
+  /// must be deterministic given the Rng stream.
+  virtual PlanOutcome PlanSlot(const SlotEvaluator& evaluator,
                                Rng* rng) const = 0;
 
   /// Display name ("EP", "NR", "MR", "SA").

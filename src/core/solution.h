@@ -37,7 +37,7 @@ class Solution {
 
   size_t size() const { return bits_.size(); }
   bool adopted(size_t i) const { return bits_[i] != 0; }
-  /// Raw 0/1 bytes, one per component (bulk sync in the SoA evaluator).
+  /// Raw 0/1 bytes, one per component (bulk sync in the slot evaluator).
   const uint8_t* data() const { return bits_.data(); }
   void set(size_t i, bool value) { bits_[i] = value ? 1 : 0; }
   void flip(size_t i) { bits_[i] ^= 1; }

@@ -7,8 +7,8 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "core/evaluator.h"
 #include "core/slot_problem.h"
-#include "core/soa_evaluator.h"
 #include "fault/command_bus.h"
 #include "fault/fallback_weather.h"
 #include "obs/accounting/cost_ledger.h"
@@ -394,9 +394,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     // The arena reset frees the previous slot's tables in place; after the
     // first slot, evaluator construction allocates nothing.
     plan_arena->Reset();
-    const std::unique_ptr<core::Evaluator> evaluator_ptr =
-        core::MakeSlotEvaluator(&problem, plan_arena);
-    const core::Evaluator& evaluator = *evaluator_ptr;
+    const core::SlotEvaluator evaluator(&problem, plan_arena);
 
     // --- Decision: plan (or evaluate recipes) and route commands through
     // the firewall.

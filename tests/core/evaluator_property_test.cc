@@ -42,9 +42,7 @@ TEST(EvaluatorPropertyTest, CachedDeltaMatchesFullEvaluate) {
     Objectives base = evaluator.Evaluate(s);
     for (int move = 0; move < 8; ++move) {
       const std::vector<int> flips = RandomFlips(problem, &rng);
-      const Solution snapshot = s;
-      const Objectives delta = evaluator.EvaluateWithFlips(&s, base, flips);
-      ASSERT_EQ(s, snapshot) << "flips not reverted, seed " << seed;
+      const Objectives delta = evaluator.EvaluateWithFlips(s, base, flips);
 
       Solution flipped = s;
       for (int i : flips) flipped.flip(static_cast<size_t>(i));
@@ -77,7 +75,7 @@ TEST(EvaluatorPropertyTest, StaleCacheFallbackMatchesFullEvaluate) {
     }
     const Objectives base = FreshEvaluate(problem, s);
     const std::vector<int> flips = RandomFlips(problem, &rng);
-    const Objectives delta = evaluator.EvaluateWithFlips(&s, base, flips);
+    const Objectives delta = evaluator.EvaluateWithFlips(s, base, flips);
 
     Solution flipped = s;
     for (int i : flips) flipped.flip(static_cast<size_t>(i));
@@ -124,10 +122,7 @@ TEST(EvaluatorPropertyTest, ManyTouchedGroupsDegenerateMatchesFullEvaluate) {
 
     std::vector<int> flips;  // every rule: touches n_groups > 16 groups
     for (int i = 0; i < problem.n_rules; ++i) flips.push_back(i);
-    const Solution snapshot = s;
-    const Objectives delta = evaluator.EvaluateWithFlips(&s, base, flips);
-    ASSERT_EQ(s, snapshot) << "degenerate path must also revert, seed "
-                           << seed;
+    const Objectives delta = evaluator.EvaluateWithFlips(s, base, flips);
 
     Solution flipped = s;
     for (int i : flips) flipped.flip(static_cast<size_t>(i));
@@ -140,7 +135,7 @@ TEST(EvaluatorPropertyTest, ManyTouchedGroupsDegenerateMatchesFullEvaluate) {
     std::vector<int> one_flip = {static_cast<int>(rng.UniformInt(
         0, problem.n_rules - 1))};
     const Objectives small_delta =
-        evaluator.EvaluateWithFlips(&s, base, one_flip);
+        evaluator.EvaluateWithFlips(s, base, one_flip);
     Solution one = s;
     one.flip(static_cast<size_t>(one_flip[0]));
     const Objectives one_full = FreshEvaluate(problem, one);
@@ -163,7 +158,7 @@ TEST(EvaluatorPropertyTest, ApplyFlipsKeepsRunningObjectivesConsistent) {
     for (int move = 0; move < 20; ++move) {
       const std::vector<int> flips = RandomFlips(problem, &rng);
       const Objectives candidate =
-          evaluator.EvaluateWithFlips(&s, running, flips);
+          evaluator.EvaluateWithFlips(s, running, flips);
       if (rng.Bernoulli(0.7)) {
         evaluator.ApplyFlips(&s, flips);
         running = candidate;

@@ -195,15 +195,13 @@ TEST_P(FlipDeltaProperty, MatchesFullEvaluation) {
   SlotEvaluator evaluator(&problem);
 
   for (int trial = 0; trial < 200; ++trial) {
-    Solution s = Solution::Init(12, InitStrategy::kRandom, &rng);
-    const Solution snapshot = s;
+    const Solution s = Solution::Init(12, InitStrategy::kRandom, &rng);
     const Objectives base = evaluator.Evaluate(s);
     std::vector<int> flips;
     const int k = 1 + static_cast<int>(rng.UniformInt(0, 5));
     SampleDistinct(12, k, &rng, &flips);
-    const Objectives incremental = evaluator.EvaluateWithFlips(&s, base,
+    const Objectives incremental = evaluator.EvaluateWithFlips(s, base,
                                                                flips);
-    EXPECT_EQ(s, snapshot) << "flips not reverted";
     Solution flipped = s;
     for (int i : flips) flipped.flip(static_cast<size_t>(i));
     const Objectives full = evaluator.Evaluate(flipped);

@@ -1,6 +1,7 @@
 // PlanArena contract tests: alignment, accounting, block retention across
-// Reset(), and non-overlap of handed-out regions (the lifetime rules are
-// documented in plan_arena.h and DESIGN.md §12).
+// Reset() (also under the slot evaluator's real allocation pattern), and
+// non-overlap of handed-out regions (the lifetime rules are documented in
+// plan_arena.h and DESIGN.md §12).
 
 #include <cstdint>
 #include <cstring>
@@ -8,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "core/evaluator.h"
+#include "core/hill_climber.h"
 #include "core/plan_arena.h"
+#include "random_problem.h"
 
 namespace imcf {
 namespace core {
@@ -115,6 +120,31 @@ TEST(PlanArenaTest, OversizedRequestGetsItsOwnBlock) {
   EXPECT_TRUE(IsAligned(p));
   std::memset(p, 0x5C, 1 << 20);  // the whole region must be writable
   EXPECT_EQ(arena.allocated_bytes(), static_cast<size_t>(1 << 20));
+}
+
+// The simulator's per-slot pattern: reset, build the slot's evaluator on
+// the arena, plan. Once the first plan has grown the arena, same-shaped
+// slots are served from retained blocks.
+TEST(PlanArenaTest, ArenaStopsGrowingOnceWarm) {
+  const HillClimbingPlanner planner;
+  Rng problem_rng(0xAEA0);
+  const SlotProblem problem = testutil::RandomProblem(&problem_rng, 4, 4);
+  PlanArena arena;
+  size_t warmed_blocks = 0;
+  size_t high_water = 0;
+  for (int i = 0; i < 21; ++i) {
+    arena.Reset();
+    const SlotEvaluator evaluator(&problem, &arena);
+    Rng rng(MixHash(2, static_cast<uint64_t>(i)));
+    planner.PlanSlot(evaluator, &rng);
+    if (i == 0) {
+      warmed_blocks = arena.block_count();
+      high_water = arena.high_water_bytes();
+      continue;
+    }
+    EXPECT_EQ(arena.block_count(), warmed_blocks) << "plan " << i;
+    EXPECT_EQ(arena.high_water_bytes(), high_water) << "plan " << i;
+  }
 }
 
 TEST(PlanArenaTest, TypedArraysAreUsable) {
