@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/simulation.h"
 
 namespace imcf {
@@ -21,6 +23,14 @@ struct Cell {
   int start_month;
   double budget_fraction;  ///< of the Table II budget, scaled to the window
 };
+
+// Names each sweep cell by its values. Without this, googletest prints the
+// struct's raw bytes, which include the dataset pointer and padding, so the
+// discovered test names change from one build to the next.
+void PrintTo(const Cell& cell, std::ostream* os) {
+  *os << cell.dataset << "_m" << cell.start_month << "_b"
+      << cell.budget_fraction;
+}
 
 class PolicySweep : public ::testing::TestWithParam<Cell> {
  protected:
