@@ -1,8 +1,9 @@
 // Fleet serving scalability: open-loop traffic over the FleetService.
 //
 // Drives synthetic plan traffic across a {tenant count} x {worker threads}
-// grid and reports throughput (plans/sec), end-to-end wall latency (p50 /
-// p99) and the shed rate of a deliberately undersized admission queue.
+// grid and reports throughput (plans/sec) and end-to-end wall latency (p50 /
+// p99) of a warm drain, the same for the cold first drain of a fresh
+// service, and the shed rate of a deliberately undersized admission queue.
 // Plan outcomes are bit-identical across worker counts (the serve
 // determinism contract); only the timing columns are measurements.
 
@@ -43,32 +44,30 @@ double PercentileMs(std::vector<int64_t> wall_ns, double pct) {
   return static_cast<double>(wall_ns[rank]) / 1e6;
 }
 
-struct CellResult {
+/// Timing of one drain of every tenant's plans.
+struct DrainTiming {
   double plans_per_sec = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
+};
+
+struct CellResult {
+  DrainTiming cold;  ///< first drain: fresh workers, first touch included
+  DrainTiming warm;  ///< second drain of the same plans
   double fe_sum_kwh = 0.0;  ///< determinism witness across worker counts
-  /// Cost-ledger totals across all tenants. cpu_ns is a measurement; the
-  /// rest are deterministic int64 sums (the compare_bench exact columns),
-  /// identical across worker counts.
+  /// The warm drain's cost-ledger totals across all tenants. cpu_ns is a
+  /// measurement; the rest are deterministic int64 sums (the compare_bench
+  /// exact columns), identical across worker counts.
   double cpu_ns_total = 0.0;
   int64_t arena_bytes = 0;
   int64_t flip_evals = 0;
   int64_t plans_ok = 0;
 };
 
-CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
-  serve::FleetOptions options;
-  options.shards = 8;
-  options.workers = workers;
-  options.queue_capacity = tenants * plans_per_tenant;  // no shedding here
-  auto service_or = serve::FleetService::Create(options);
-  bench::CheckOk(service_or.status());
-  serve::FleetService& service = **service_or;
-  for (int i = 0; i < tenants; ++i) {
-    bench::CheckOk(service.AddTenant(TenantAt(i, hours)));
-  }
-
+/// Submits `plans_per_tenant` plans for every tenant and times one drain
+/// of them, from the first submit to the last response.
+DrainTiming TimedDrain(serve::FleetService& service, int tenants,
+                       int plans_per_tenant, double* fe_sum_kwh) {
   const SimTime start = trace::EvaluationStart();
   const int64_t t0 = obs::ScopedTimer::NowNs();
   for (int rep = 0; rep < plans_per_tenant; ++rep) {
@@ -91,18 +90,49 @@ CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
       service.Drain(start + kSecondsPerHour);
   const int64_t elapsed_ns = obs::ScopedTimer::NowNs() - t0;
 
-  CellResult result;
+  DrainTiming timing;
   std::vector<int64_t> wall_ns;
   wall_ns.reserve(responses.size());
+  *fe_sum_kwh = 0.0;
   for (const serve::Response& response : responses) {
     bench::CheckOk(response.status);
     wall_ns.push_back(response.wall_ns);
-    result.fe_sum_kwh += response.plan.fe_kwh;
+    *fe_sum_kwh += response.plan.fe_kwh;
   }
-  result.plans_per_sec = static_cast<double>(responses.size()) /
+  timing.plans_per_sec = static_cast<double>(responses.size()) /
                          (static_cast<double>(elapsed_ns) / 1e9);
-  result.p50_ms = PercentileMs(wall_ns, 50.0);
-  result.p99_ms = PercentileMs(wall_ns, 99.0);
+  timing.p50_ms = PercentileMs(wall_ns, 50.0);
+  timing.p99_ms = PercentileMs(wall_ns, 99.0);
+  return timing;
+}
+
+/// Times a cold drain on a fresh service, then a warm drain of the same
+/// plans. The cold one includes each new worker's first touch of its heap
+/// and flight-recorder ring; the warm one is the steady-state number.
+CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
+  serve::FleetOptions options;
+  options.shards = 8;
+  options.workers = workers;
+  options.queue_capacity = tenants * plans_per_tenant;  // no shedding here
+  auto service_or = serve::FleetService::Create(options);
+  bench::CheckOk(service_or.status());
+  serve::FleetService& service = **service_or;
+  for (int i = 0; i < tenants; ++i) {
+    bench::CheckOk(service.AddTenant(TenantAt(i, hours)));
+  }
+
+  CellResult result;
+  double cold_fe_sum_kwh = 0.0;
+  result.cold = TimedDrain(service, tenants, plans_per_tenant,
+                           &cold_fe_sum_kwh);
+  // From here the ledger holds the warm drain's costs alone.
+  service.cost_ledger().Clear();
+  result.warm = TimedDrain(service, tenants, plans_per_tenant,
+                           &result.fe_sum_kwh);
+  if (cold_fe_sum_kwh != result.fe_sum_kwh) {
+    std::fprintf(stderr, "warm drain planned differently from cold\n");
+    std::exit(1);
+  }
   for (const obs::CostLedger::Row& ledger_row :
        service.cost_ledger().Snapshot()) {
     result.cpu_ns_total += static_cast<double>(ledger_row.cost.total_ns());
@@ -209,9 +239,9 @@ int main() {
   const int hours = quick ? 24 : 24 * 7;
   const int plans_per_tenant = 2;
 
-  std::printf("%-22s %12s %10s %10s %14s %10s %12s %10s\n", "cell",
+  std::printf("%-22s %12s %10s %10s %14s %10s %12s %10s %12s\n", "cell",
               "plans/sec", "p50 ms", "p99 ms", "sum F_E kWh", "cpu ms",
-              "arena B", "flips");
+              "arena B", "flips", "cold pl/s");
   for (int tenants : tenant_counts) {
     for (int workers : worker_counts) {
       const CellResult cell =
@@ -221,14 +251,17 @@ int main() {
       // The per-tenant cost ledger's deterministic columns (arena_bytes,
       // flip_evals, plans_ok) land in the JSON as exact-match cells: any
       // cross-worker or cross-run difference is a determinism regression,
-      // not drift (compare_bench.py treats them as exact).
+      // not drift (compare_bench.py treats them as exact). The unlabelled
+      // sections are the warm drain; the `cold` section is the first one.
       std::printf(
-          "%-22s %12s %10s %10s %14s %10s %12s %10s\n", row.c_str(),
+          "%-22s %12s %10s %10s %14s %10s %12s %10s %12s\n", row.c_str(),
           report.Scalar("throughput", row, "plans_per_sec",
-                        cell.plans_per_sec, 1)
+                        cell.warm.plans_per_sec, 1)
               .c_str(),
-          report.Scalar("latency", row, "p50_ms", cell.p50_ms, 2).c_str(),
-          report.Scalar("latency", row, "p99_ms", cell.p99_ms, 2).c_str(),
+          report.Scalar("latency", row, "p50_ms", cell.warm.p50_ms, 2)
+              .c_str(),
+          report.Scalar("latency", row, "p99_ms", cell.warm.p99_ms, 2)
+              .c_str(),
           report.Scalar("determinism", row, "fe_sum_kwh", cell.fe_sum_kwh, 3)
               .c_str(),
           report.Scalar("tenant_cost", row, "cpu_ms", cell.cpu_ns_total / 1e6,
@@ -239,9 +272,14 @@ int main() {
               .c_str(),
           report.Scalar("tenant_cost", row, "flip_evals",
                         static_cast<double>(cell.flip_evals), 0)
+              .c_str(),
+          report.Scalar("cold", row, "plans_per_sec",
+                        cell.cold.plans_per_sec, 1)
               .c_str());
       report.Scalar("tenant_cost", row, "plans_ok",
                     static_cast<double>(cell.plans_ok), 0);
+      report.Scalar("cold", row, "p50_ms", cell.cold.p50_ms, 2);
+      report.Scalar("cold", row, "p99_ms", cell.cold.p99_ms, 2);
     }
   }
 

@@ -4,16 +4,17 @@
 // then drives it with {1, 4, 16, 64} concurrent client connections, each
 // pipelining a window of query requests (the cheap deterministic kind —
 // this measures the transport, not the planner). Reports frames/sec
-// through the single epoll thread and the p50/p99 request round-trip
-// time, merged across connections.
+// through the single epoll thread. It reports no latency: the loop is
+// closed with a 32-deep window per connection, so a round trip here mostly
+// measures the bench's own queue. Wire latency comes from the open-loop
+// `perfbench` workloads (`interactive`, `mixed`).
 //
 // Every reply is checked: a non-kOk outcome or a shed (impossible at the
 // configured queue capacity) fails the bench. Timing columns are
 // measurements; the frames_total column is exact.
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -39,50 +40,34 @@ serve::Request QueryReq(int tenant_index) {
   return request;
 }
 
-double PercentileUs(std::vector<int64_t>& rtt_ns, double pct) {
-  if (rtt_ns.empty()) return 0.0;
-  std::sort(rtt_ns.begin(), rtt_ns.end());
-  const size_t rank = std::min(
-      rtt_ns.size() - 1,
-      static_cast<size_t>(pct / 100.0 * static_cast<double>(rtt_ns.size())));
-  return static_cast<double>(rtt_ns[rank]) / 1e3;
-}
-
 struct SweepResult {
   double frames_per_sec = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
   int64_t frames = 0;
 };
 
-/// One client connection's closed-window pipelined load loop. Returns the
-/// observed per-request round trips; dies on any non-kOk reply.
+/// One client connection's closed-window pipelined load loop. Sets
+/// `*received` to the replies it got; dies on any non-kOk reply.
 void DriveConnection(net::WireClient* client, int tenant_index, int frames,
-                     std::vector<int64_t>* rtt_ns) {
-  rtt_ns->reserve(static_cast<size_t>(frames));
-  std::map<uint64_t, int64_t> sent_at_ns;
+                     int64_t* received) {
+  std::set<uint64_t> outstanding;
   int sent = 0;
-  int received = 0;
-  while (received < frames) {
-    while (sent < frames && sent - received < kWindow) {
+  while (*received < frames) {
+    while (sent < frames && sent - *received < kWindow) {
       auto id = client->Send(QueryReq(tenant_index));
       bench::CheckOk(id.status());
-      sent_at_ns[*id] = obs::ScopedTimer::NowNs();
+      outstanding.insert(*id);
       ++sent;
     }
     auto reply = client->Receive();
     bench::CheckOk(reply.status());
-    const auto it = sent_at_ns.find(reply->client_id);
-    if (it == sent_at_ns.end() ||
+    if (outstanding.erase(reply->client_id) == 0 ||
         reply->response.outcome != serve::ServeOutcome::kOk) {
       std::fprintf(stderr, "bad reply: id=%llu outcome=%s\n",
                    static_cast<unsigned long long>(reply->client_id),
                    serve::ServeOutcomeName(reply->response.outcome));
       std::exit(1);
     }
-    rtt_ns->push_back(obs::ScopedTimer::NowNs() - it->second);
-    sent_at_ns.erase(it);
-    ++received;
+    ++*received;
   }
 }
 
@@ -96,27 +81,20 @@ SweepResult RunSweep(int port, int connections, int frames_per_connection) {
     clients.push_back(std::move(*client));
   }
 
-  std::vector<std::vector<int64_t>> rtts(
-      static_cast<size_t>(connections));
+  std::vector<int64_t> received(static_cast<size_t>(connections), 0);
   const int64_t t0 = obs::ScopedTimer::NowNs();
   std::vector<std::thread> threads;
   for (int i = 0; i < connections; ++i) {
     threads.emplace_back(DriveConnection, clients[i].get(), i % kTenants,
-                         frames_per_connection, &rtts[i]);
+                         frames_per_connection, &received[i]);
   }
   for (std::thread& t : threads) t.join();
   const int64_t elapsed_ns = obs::ScopedTimer::NowNs() - t0;
 
   SweepResult result;
-  std::vector<int64_t> merged;
-  for (std::vector<int64_t>& rtt : rtts) {
-    result.frames += static_cast<int64_t>(rtt.size());
-    merged.insert(merged.end(), rtt.begin(), rtt.end());
-  }
+  for (int64_t frames : received) result.frames += frames;
   result.frames_per_sec = static_cast<double>(result.frames) /
                           (static_cast<double>(elapsed_ns) / 1e9);
-  result.p50_us = PercentileUs(merged, 50.0);
-  result.p99_us = PercentileUs(merged, 99.0);
   return result;
 }
 
@@ -144,26 +122,23 @@ int main() {
   }
 
   net::WireServerOptions server_options;
-  server_options.epoll_wait_ms = 1;  // latency bench: tight drain cadence
+  server_options.epoll_wait_ms = 1;  // tight drain cadence
   auto server = net::WireServer::Start(service->get(), server_options);
   bench::CheckOk(server.status());
 
   const int frames_per_connection = bench::QuickMode() ? 400 : 2000;
   const std::vector<int> connection_counts = {1, 4, 16, 64};
 
-  std::printf("%-18s %14s %10s %10s %12s\n", "cell", "frames/sec", "p50 us",
-              "p99 us", "frames");
+  std::printf("%-18s %14s %12s\n", "cell", "frames/sec", "frames");
   for (int connections : connection_counts) {
     const SweepResult sweep =
         RunSweep((*server)->port(), connections, frames_per_connection);
     const std::string row = StrFormat("connections=%d", connections);
     std::printf(
-        "%-18s %14s %10s %10s %12s\n", row.c_str(),
+        "%-18s %14s %12s\n", row.c_str(),
         report.Scalar("throughput", row, "frames_per_sec",
                       sweep.frames_per_sec, 0)
             .c_str(),
-        report.Scalar("latency", row, "p50_us", sweep.p50_us, 1).c_str(),
-        report.Scalar("latency", row, "p99_us", sweep.p99_us, 1).c_str(),
         report.Scalar("volume", row, "frames_total",
                       static_cast<double>(sweep.frames), 0)
             .c_str());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <utility>
 
 #include "common/logging.h"
@@ -243,10 +242,10 @@ std::optional<Response> FleetService::Submit(Request request,
 }
 
 Status FleetService::ExecutePlan(Tenant& tenant, const Request& request,
-                                 core::PlanArena* arena, Response* response) {
+                                 Response* response) {
   IMCF_ASSIGN_OR_RETURN(
       sim::SimulationReport report,
-      tenant.simulator().Run(request.plan.policy, request.plan.rep, arena));
+      tenant.simulator().Run(request.plan.policy, request.plan.rep));
   response->plan.fce_pct = report.fce_pct;
   response->plan.fe_kwh = report.fe_kwh;
   response->plan.within_budget = report.within_budget;
@@ -348,8 +347,7 @@ Status FleetService::ExecuteMrtUpdate(Tenant& tenant, const Request& request,
   return applied;  // build/config failure -> kError
 }
 
-Response FleetService::Execute(const QueuedItem& item, SimTime now,
-                               core::PlanArena* arena) {
+Response FleetService::Execute(const QueuedItem& item, SimTime now) {
   const Request& request = item.request;
   Response response;
   response.id = item.id;
@@ -382,7 +380,7 @@ Response FleetService::Execute(const QueuedItem& item, SimTime now,
         Status work;
         switch (request.kind) {
           case RequestKind::kPlan:
-            work = ExecutePlan(tenant, request, arena, &response);
+            work = ExecutePlan(tenant, request, &response);
             break;
           case RequestKind::kCommand:
             work = ExecuteCommand(tenant, request, &response);
@@ -421,7 +419,7 @@ std::vector<Response> FleetService::Drain(SimTime now) {
   // Queue wait is observed here, on the draining thread: it is a wall
   // measurement, so it feeds the per-shard histogram but never a span arg.
   const int64_t drain_start_ns = obs::ScopedTimer::NowNs();
-  std::map<TenantId, std::vector<QueuedItem>> per_tenant;
+  std::vector<QueuedItem> items;
   for (const auto& shard : queues_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     // Drain-rate bookkeeping for the shed path's retry-after hint: a
@@ -444,66 +442,48 @@ std::vector<Response> FleetService::Drain(SimTime now) {
                                obs::CostPhase::kQueueWait,
                                drain_start_ns - item.enqueue_ns);
 #endif
-      per_tenant[item.request.tenant].push_back(std::move(item));
+      items.push_back(std::move(item));
     }
     shard->items.clear();
   }
   UpdateQueueDepthGauge();
 
-  // 2. Deadline-aware order within each tenant: earliest deadline first,
-  // submission order among equals (stable + id tiebreak = deterministic).
-  for (auto& [tenant, items] : per_tenant) {
-    std::stable_sort(items.begin(), items.end(),
-                     [](const QueuedItem& a, const QueuedItem& b) {
-                       const SimTime da = DeadlineKey(a.request);
-                       const SimTime db = DeadlineKey(b.request);
-                       if (da != db) return da < db;
-                       return a.id < b.id;
-                     });
-  }
+  // 2. Sort by tenant id, then within a tenant deadline first, submission
+  // order among equals. Request ids are unique, so the order is total and
+  // deterministic.
+  std::sort(items.begin(), items.end(),
+            [](const QueuedItem& a, const QueuedItem& b) {
+              if (a.request.tenant != b.request.tenant) {
+                return a.request.tenant < b.request.tenant;
+              }
+              const SimTime da = DeadlineKey(a.request);
+              const SimTime db = DeadlineKey(b.request);
+              if (da != db) return da < db;
+              return a.id < b.id;
+            });
 
-  // 3. Fair round-robin interleave across tenants (sorted by id via the
-  // map): round r takes each tenant's r-th request, so a tenant with a
-  // deep backlog cannot monopolize the pool ahead of everyone's first
-  // request.
-  std::vector<QueuedItem> dispatch;
-  for (size_t round = 0;; ++round) {
-    bool any = false;
-    for (auto& [tenant, items] : per_tenant) {
-      if (round < items.size()) {
-        dispatch.push_back(std::move(items[round]));
-        any = true;
-      }
+  // 3. One execution unit per tenant: a unit runs its tenant's items in
+  // that order on one worker, so each request sees the effects of the ones
+  // before it (an MRT update is in force for the plan after it), and no
+  // two workers contend for one tenant. ParallelFor's dynamic claiming
+  // balances the units. Each item writes only its own response slot.
+  std::vector<size_t> unit_begin;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i == 0 || items[i].request.tenant != items[i - 1].request.tenant) {
+      unit_begin.push_back(i);
     }
-    if (!any) break;
   }
-
-  // 4. Fan out on the pool in batched execution units: consecutive
-  // dispatch entries share one PlanArena, so a pass over many tenants
-  // plans against warm evaluator storage instead of cold heap per plan.
-  // Each item still writes only its own response slot and executes
-  // independently, so unit boundaries never change outcomes — only where
-  // the evaluator's memory comes from. With multiple workers the unit size
-  // shrinks so the pool stays saturated.
-  const int n = static_cast<int>(dispatch.size());
-  int unit_cap = std::max(1, options_.plan_batch);
-  if (pool_ != nullptr && n > 0) {
-    const int eff_workers = std::max(1, options_.workers);
-    unit_cap = std::max(1, std::min(unit_cap, n / (eff_workers * 2)));
-  }
-  const int n_units = n == 0 ? 0 : (n + unit_cap - 1) / unit_cap;
-  std::vector<Response> responses(static_cast<size_t>(n));
+  unit_begin.push_back(items.size());
+  const int n_units = static_cast<int>(unit_begin.size()) - 1;
+  std::vector<Response> responses(items.size());
   ParallelFor(pool_.get(), n_units, [&](int u) {
-    core::PlanArena arena;
-    const int begin = u * unit_cap;
-    const int end = std::min(n, begin + unit_cap);
-    for (int i = begin; i < end; ++i) {
-      responses[static_cast<size_t>(i)] =
-          Execute(dispatch[static_cast<size_t>(i)], now, &arena);
+    const size_t end = unit_begin[static_cast<size_t>(u) + 1];
+    for (size_t i = unit_begin[static_cast<size_t>(u)]; i < end; ++i) {
+      responses[i] = Execute(items[i], now);
     }
   });
 
-  // 5. Deterministic response order + metrics, on the draining thread.
+  // 4. Deterministic response order + metrics, on the draining thread.
   std::sort(responses.begin(), responses.end(),
             [](const Response& a, const Response& b) { return a.id < b.id; });
   for (const Response& response : responses) CountResponse(response);
@@ -570,9 +550,9 @@ bool FleetService::DumpTrace(const std::string& path) const {
 Response FleetService::Call(Request request, SimTime now) {
   // RPC convenience: drains everything queued; intended for callers that
   // interleave submits and drains one request at a time.
-  std::optional<Response> immediate = Submit(std::move(request));
+  uint64_t id = 0;
+  std::optional<Response> immediate = Submit(std::move(request), &id);
   if (immediate.has_value()) return *immediate;
-  const uint64_t id = next_id_.load(std::memory_order_relaxed) - 1;
   std::vector<Response> responses = Drain(now);
   for (Response& response : responses) {
     if (response.id == id) return std::move(response);

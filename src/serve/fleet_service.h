@@ -9,12 +9,13 @@
 //                              tenant's shard queue; a full queue sheds the
 //                              request immediately with a retry-after hint
 //                              (load-shedding, never unbounded buffering).
-//   Drain(now)               — scheduling: queued requests are
-//                              deadline-checked against the drain's virtual
-//                              `now`, ordered deadline-first within each
-//                              tenant, interleaved round-robin across
-//                              tenants (one hot tenant cannot starve the
-//                              rest) and fanned out on the worker pool.
+//   Drain(now)               — scheduling: queued requests are grouped
+//                              into one execution unit per tenant, ordered
+//                              deadline-first within it, and the units fan
+//                              out on the worker pool. A unit runs on one
+//                              worker, so each request sees the effects of
+//                              the tenant's earlier ones. Deadlines are
+//                              checked against the drain's virtual `now`.
 //                              Responses come back sorted by request id.
 //
 // Determinism: with a single submitting thread, the full response stream —
@@ -40,7 +41,6 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "core/plan_arena.h"
 #include "fault/fault_plan.h"
 #include "fault/retry.h"
 #include "obs/accounting/cost_ledger.h"
@@ -69,14 +69,6 @@ struct FleetOptions {
   /// clamped to [base/4, base*8] (sim-time arithmetic only, so the hint is
   /// part of the determinism contract). Without history the base applies.
   SimTime shed_retry_after_seconds = 60;
-  /// Batched planning: Drain groups up to this many consecutive dispatch
-  /// entries into one execution unit that shares a PlanArena, so a pass
-  /// over many tenants recycles one warm allocation instead of building
-  /// evaluator tables from cold heap per plan. Grouping only changes where
-  /// evaluator memory comes from — each request still executes
-  /// independently, so responses are bit-identical for any batch size or
-  /// worker count (DESIGN.md §12). Values below 1 behave as 1.
-  int plan_batch = 8;
   /// Snapshot directory; empty disables persistence.
   std::string store_dir;
   /// Fault injection for tenant command delivery and weather links; the
@@ -144,8 +136,9 @@ class FleetService {
   /// `now` complete as kDeadlineExceeded without executing.
   std::vector<Response> Drain(SimTime now);
 
-  /// Submit + immediate single-request drain, for callers that want RPC
-  /// semantics rather than open-loop batching.
+  /// Submit + immediate drain, for callers that want RPC semantics rather
+  /// than open-loop batching. Returns this request's response; anything
+  /// else queued is drained with it and its responses are dropped.
   Response Call(Request request, SimTime now);
 
   /// Rewrites the fleet snapshot (no-op without a store).
@@ -210,15 +203,12 @@ class FleetService {
 
   /// Executes one admitted item at virtual time `now` (deadline check,
   /// tenant lookup, work dispatch). Pure function of (item, now, tenant
-  /// state) — the unit of the determinism contract. `arena` backs plan
-  /// evaluator tables; it belongs to the calling execution unit and is
-  /// never shared across threads.
-  Response Execute(const QueuedItem& item, SimTime now,
-                   core::PlanArena* arena);
+  /// state) — the unit of the determinism contract.
+  Response Execute(const QueuedItem& item, SimTime now);
 
   /// The per-kind work, run with the tenant's mutex held.
   Status ExecutePlan(Tenant& tenant, const Request& request,
-                     core::PlanArena* arena, Response* response);
+                     Response* response);
   Status ExecuteCommand(Tenant& tenant, const Request& request,
                         Response* response);
   Status ExecuteQuery(Tenant& tenant, const Request& request,

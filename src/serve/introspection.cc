@@ -28,7 +28,6 @@ std::string StatuszJson(const FleetService& service,
   json.Key("shards").Int(options.shards);
   json.Key("workers").Int(options.workers);
   json.Key("queue_capacity").Int(options.queue_capacity);
-  json.Key("plan_batch").Int(options.plan_batch);
   json.Key("status_port").Int(server.port());
   json.EndObject();
   json.Key("tenants").Int(static_cast<int64_t>(service.registry().size()));

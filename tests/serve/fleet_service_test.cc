@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include "trace/dataset.h"
 
@@ -25,6 +28,14 @@ Request PlanReq(const std::string& tenant, int rep = 0) {
   request.issue_time = trace::EvaluationStart();
   request.plan.policy = sim::Policy::kEnergyPlanner;
   request.plan.rep = rep;
+  return request;
+}
+
+Request QueryReq(const std::string& tenant) {
+  Request request;
+  request.tenant = tenant;
+  request.kind = RequestKind::kQuery;
+  request.issue_time = trace::EvaluationStart();
   return request;
 }
 
@@ -180,6 +191,33 @@ TEST_F(FleetServiceTest, ResponsesSortedByRequestId) {
   for (size_t i = 1; i < responses.size(); ++i) {
     EXPECT_LT(responses[i - 1].id, responses[i].id);
   }
+}
+
+TEST_F(FleetServiceTest, CallReturnsItsOwnResponseUnderConcurrentSubmits) {
+  auto service = FleetService::Create(FleetOptions{});
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->AddTenant(FastConfig("a")).ok());
+  ASSERT_TRUE((*service)->AddTenant(FastConfig("b")).ok());
+  // Another thread keeps submitting for tenant b; Call drains those too,
+  // but must hand back the response to its own request.
+  std::atomic<bool> stop{false};
+  std::thread submitter([&] {
+    while (!stop.load()) {
+      (void)(*service)->Submit(QueryReq("b"));
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  int foreign = 0;
+  for (int i = 0; i < 500; ++i) {
+    const Response response =
+        (*service)->Call(QueryReq("a"), trace::EvaluationStart());
+    if (response.tenant != "a" || response.outcome != ServeOutcome::kOk) {
+      ++foreign;
+    }
+  }
+  stop.store(true);
+  submitter.join();
+  EXPECT_EQ(foreign, 0);
 }
 
 TEST_F(FleetServiceTest, ErrorOutcomeForBadCommandUnit) {
