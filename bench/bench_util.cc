@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
+#include <thread>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -47,6 +49,20 @@ std::string ReportPath(const char* env_var, const std::string& prefix,
     path += prefix + name + ".json";
   }
   return path;
+}
+
+/// The first "model name" of /proc/cpuinfo, or "unknown" where there is
+/// none (non-Linux hosts, some ARM kernels).
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (!StartsWith(line, "model name")) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    return Trim(std::string_view(line).substr(colon + 1));
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -100,6 +116,9 @@ std::string Report::ToJsonString() const {
   w.Key("build_type").String(IMCF_BUILD_TYPE);
   w.Key("compiler").String(__VERSION__);
   w.Key("threads").Int(BenchThreads());
+  w.Key("hw_threads").Int(
+      static_cast<int64_t>(std::thread::hardware_concurrency()));
+  w.Key("cpu_model").String(CpuModel());
   w.Key("timestamp_utc").String(UtcTimestamp());
   w.EndObject();
   w.Key("repetitions").Int(Repetitions());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <limits>
 
 #include "obs/json_writer.h"
 
@@ -28,6 +30,23 @@ double BudgetFor(const SloOptions& options, SloObjective objective) {
   return std::max(budget, 1e-9);
 }
 
+/// Narrows [*from, *until) to the sim times t with t / width == index.
+/// Division truncates toward zero, so bucket 0 spans (-width, width) and a
+/// negative bucket ends one past its multiple of width. Ends that would
+/// overflow saturate, which only ever shrinks the range.
+void IntersectBucketSpan(int64_t index, int64_t width, int64_t* from,
+                         int64_t* until) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t base = index * width;  // no larger in magnitude than t
+  int64_t lo = base;  // a positive bucket starts at its multiple
+  if (index <= 0) lo = base >= kMin + (width - 1) ? base - (width - 1) : kMin;
+  int64_t hi = base + 1;  // a negative bucket ends just past its multiple
+  if (index >= 0) hi = base <= kMax - width ? base + width : kMax;
+  *from = std::max(*from, lo);
+  *until = std::min(*until, hi);
+}
+
 }  // namespace
 
 const char* SloObjectiveName(SloObjective objective) {
@@ -46,7 +65,7 @@ SloEngine::SloEngine(SloOptions defaults) : defaults_(defaults) {
   if (defaults_.bucket_seconds < 1) defaults_.bucket_seconds = 1;
 }
 
-SloEngine::Tenant& SloEngine::TenantState(const std::string& id) {
+SloEngine::TenantEntry& SloEngine::TenantState(const std::string& id) {
   auto [it, inserted] = tenants_.try_emplace(id);
   Tenant& tenant = it->second;
   if (inserted) {
@@ -57,25 +76,42 @@ SloEngine::Tenant& SloEngine::TenantState(const std::string& id) {
                                        tenant.options.bucket_seconds) +
                    1;
     tenant.ring.resize(std::max<size_t>(slots, 2));
+    for (size_t obj = 0; obj < kNumSloObjectives; ++obj) {
+      tenant.cache.rows[obj].tenant = id;
+      tenant.cache.rows[obj].objective = static_cast<SloObjective>(obj);
+    }
+    MarkDirty(*it);
   }
-  return tenant;
+  return *it;
 }
 
-SloEngine::Bucket& SloEngine::BucketFor(Tenant& tenant, int64_t bucket_index) {
+void SloEngine::MarkDirty(const TenantEntry& entry) {
+  Cache& cache = entry.second.cache;
+  if (cache.dirty) return;
+  cache.dirty = true;
+  dirty_.push_back(&entry);
+}
+
+SloEngine::Bucket* SloEngine::BucketFor(Tenant& tenant, int64_t bucket_index) {
   Bucket& bucket =
       tenant.ring[static_cast<size_t>(bucket_index) % tenant.ring.size()];
+  // A newer occupant wins: a late event (a shed carries its request's
+  // issue_time) must not erase the live window it has fallen out of.
+  if (bucket.index > bucket_index) return nullptr;
   if (bucket.index != bucket_index) {
     // Stale occupant from >long_window ago (or a clock jump): reclaim.
     bucket = Bucket{};
     bucket.index = bucket_index;
   }
-  return bucket;
+  return &bucket;
 }
 
 void SloEngine::SetObjectives(const std::string& tenant,
                               const SloOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  Tenant& state = TenantState(tenant);
+  TenantEntry& entry = TenantState(tenant);
+  Tenant& state = entry.second;
+  MarkDirty(entry);
   SloOptions sanitized = options;
   if (sanitized.bucket_seconds < 1) sanitized.bucket_seconds = 1;
   bool regeometry =
@@ -92,15 +128,18 @@ void SloEngine::SetObjectives(const std::string& tenant,
 
 void SloEngine::Observe(const std::string& tenant, const SloEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  Tenant& state = TenantState(tenant);
+  TenantEntry& entry = TenantState(tenant);
+  Tenant& state = entry.second;
   int64_t bucket_index = event.sim_time / state.options.bucket_seconds;
   if (bucket_index < 0) bucket_index = 0;
-  Bucket& bucket = BucketFor(state, bucket_index);
+  Bucket* bucket = BucketFor(state, bucket_index);
+  if (bucket == nullptr) return;
+  MarkDirty(entry);
 
   auto tally = [&](SloObjective objective, bool bad) {
     size_t i = static_cast<size_t>(objective);
-    (bad ? bucket.bad[i] : bucket.good[i]) += 1;
-    if (bad && event.trace_id != 0) bucket.exemplar[i] = event.trace_id;
+    (bad ? bucket->bad[i] : bucket->good[i]) += 1;
+    if (bad && event.trace_id != 0) bucket->exemplar[i] = event.trace_id;
   };
 
   // Every submission counts toward the shed objective; only served plans
@@ -154,45 +193,94 @@ double SloEngine::Burn(const WindowTotals& totals, double budget) {
   return bad_fraction / budget;
 }
 
+void SloEngine::Recompute(const TenantEntry& entry, int64_t sim_now) const {
+  const Tenant& tenant = entry.second;
+  Cache& cache = tenant.cache;
+  for (size_t obj = 0; obj < kNumSloObjectives; ++obj) {
+    SloObjective objective = static_cast<SloObjective>(obj);
+    double budget = BudgetFor(tenant.options, objective);
+    WindowTotals short_totals =
+        Sum(tenant, objective, sim_now, tenant.options.short_window_seconds);
+    WindowTotals long_totals =
+        Sum(tenant, objective, sim_now, tenant.options.long_window_seconds);
+    BurnStatus& status = cache.rows[obj];
+    status.short_burn = Burn(short_totals, budget);
+    status.long_burn = Burn(long_totals, budget);
+    status.firing = status.short_burn >= tenant.options.burn_threshold &&
+                    status.long_burn >= tenant.options.burn_threshold;
+    status.exemplar_trace_id = long_totals.exemplar;
+  }
+  cache.index = sim_now / tenant.options.bucket_seconds;
+  cache.dirty = false;
+  if (!cache.unchecked) {
+    cache.unchecked = true;
+    unchecked_.push_back(&entry);
+  }
+}
+
+void SloEngine::Narrow(const Tenant& tenant) const {
+  IntersectBucketSpan(tenant.cache.index, tenant.options.bucket_seconds,
+                      &stable_from_, &stable_until_);
+}
+
+void SloEngine::Refresh(int64_t sim_now) const {
+  if (sim_now >= stable_from_ && sim_now < stable_until_) {
+    for (const TenantEntry* entry : dirty_) {
+      Recompute(*entry, sim_now);
+      Narrow(entry->second);
+    }
+  } else {
+    // Bucket rollover (or a clock jump, or the first call): the one pass
+    // over every tenant.
+    stable_from_ = std::numeric_limits<int64_t>::min();
+    stable_until_ = std::numeric_limits<int64_t>::max();
+    for (const TenantEntry& entry : tenants_) {
+      const Tenant& tenant = entry.second;
+      if (tenant.cache.dirty ||
+          tenant.cache.index != sim_now / tenant.options.bucket_seconds) {
+        Recompute(entry, sim_now);
+      }
+      Narrow(tenant);
+    }
+  }
+  dirty_.clear();
+}
+
 std::vector<BurnStatus> SloEngine::Evaluate(int64_t sim_now) const {
   std::lock_guard<std::mutex> lock(mu_);
+  Refresh(sim_now);
   std::vector<BurnStatus> out;
   out.reserve(tenants_.size() * kNumSloObjectives);
   for (const auto& [id, tenant] : tenants_) {  // map order: sorted by tenant
-    for (size_t obj = 0; obj < kNumSloObjectives; ++obj) {
-      SloObjective objective = static_cast<SloObjective>(obj);
-      double budget = BudgetFor(tenant.options, objective);
-      WindowTotals short_totals =
-          Sum(tenant, objective, sim_now, tenant.options.short_window_seconds);
-      WindowTotals long_totals =
-          Sum(tenant, objective, sim_now, tenant.options.long_window_seconds);
-      BurnStatus status;
-      status.tenant = id;
-      status.objective = objective;
-      status.short_burn = Burn(short_totals, budget);
-      status.long_burn = Burn(long_totals, budget);
-      status.firing = status.short_burn >= tenant.options.burn_threshold &&
-                      status.long_burn >= tenant.options.burn_threshold;
-      status.exemplar_trace_id = long_totals.exemplar;
-      out.push_back(std::move(status));
-    }
+    out.insert(out.end(), std::begin(tenant.cache.rows),
+               std::end(tenant.cache.rows));
   }
   return out;
 }
 
 std::vector<BurnStatus> SloEngine::NewlyFiring(int64_t sim_now) {
-  std::vector<BurnStatus> evaluated = Evaluate(sim_now);
   std::lock_guard<std::mutex> lock(mu_);
-  std::set<std::pair<std::string, int>> now_firing;
+  Refresh(sim_now);
+  // A tenant not recomputed since the last call still holds the rows that
+  // call saw, so only the recomputed ones can carry a rising edge.
+  std::sort(unchecked_.begin(), unchecked_.end(),
+            [](const TenantEntry* a, const TenantEntry* b) {
+              return a->first < b->first;
+            });
   std::vector<BurnStatus> fresh;
-  for (BurnStatus& status : evaluated) {
-    if (!status.firing) continue;
-    auto key = std::make_pair(status.tenant,
-                              static_cast<int>(status.objective));
-    now_firing.insert(key);
-    if (!firing_.count(key)) fresh.push_back(std::move(status));
+  for (const TenantEntry* entry : unchecked_) {
+    Cache& cache = entry->second.cache;
+    uint8_t firing = 0;
+    for (size_t obj = 0; obj < kNumSloObjectives; ++obj) {
+      if (!cache.rows[obj].firing) continue;
+      const uint8_t bit = static_cast<uint8_t>(1u << obj);
+      firing |= bit;
+      if ((cache.fired & bit) == 0) fresh.push_back(cache.rows[obj]);
+    }
+    cache.fired = firing;
+    cache.unchecked = false;
   }
-  firing_ = std::move(now_firing);
+  unchecked_.clear();
   return fresh;
 }
 
@@ -224,7 +312,10 @@ std::string SloEngine::ToJson(int64_t sim_now) const {
 void SloEngine::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   tenants_.clear();
-  firing_.clear();
+  dirty_.clear();
+  unchecked_.clear();
+  stable_from_ = 0;
+  stable_until_ = 0;
 }
 
 }  // namespace obs

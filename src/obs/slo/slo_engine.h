@@ -22,7 +22,9 @@
 // bucket_seconds rings with lazy invalidation: each bucket remembers which
 // absolute bucket index it holds, so a sim-clock jump across any number of
 // boundaries simply orphans stale buckets (they read as zero) instead of
-// requiring an eager sweep. Every bad event carries the request's trace id;
+// requiring an eager sweep. A slot only ever moves forward: an event older
+// than the slot's current occupant is dropped, so the ring always holds the
+// newest long window. Every bad event carries the request's trace id;
 // the newest one in the window is reported as the alert's exemplar, linking
 // a burning SLO straight to flight-recorder spans.
 //
@@ -34,7 +36,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -97,8 +98,14 @@ struct BurnStatus {
 
 /// The engine: per-tenant bucket rings, evaluated on demand. Observe is a
 /// short mutex hold (once per response — three orders of magnitude cooler
-/// than the planner's inner loops); Evaluate walks every tenant and is meant
-/// for drain-edge checks and the /sloz page.
+/// than the planner's inner loops). A tenant's three BurnStatus rows are a
+/// pure function of its ring, its options and sim_now / bucket_seconds, so
+/// each tenant caches them. Evaluate and NewlyFiring recompute only the
+/// tenants observed or reconfigured since the last evaluation, plus — once
+/// per bucket rollover — the tenants whose bucket index moved; between
+/// rollovers a call costs the dirty tenants, not the registry. Evaluate then
+/// copies every cached row out; NewlyFiring edge-checks only the tenants
+/// recomputed since its previous call.
 class SloEngine {
  public:
   explicit SloEngine(SloOptions defaults = {});
@@ -107,7 +114,8 @@ class SloEngine {
   SloEngine& operator=(const SloEngine&) = delete;
 
   /// Overrides the objectives for one tenant (takes effect on the next
-  /// Observe/Evaluate; existing window contents are kept).
+  /// Observe/Evaluate). Window contents are kept unless the geometry
+  /// changes: a new bucket_seconds or long_window_seconds resets the ring.
   void SetObjectives(const std::string& tenant, const SloOptions& options);
 
   /// Feeds one request's facts into the tenant's windows.
@@ -139,10 +147,23 @@ class SloEngine {
     uint64_t exemplar[kNumSloObjectives] = {0, 0, 0};  ///< last bad trace
   };
 
+  /// Derived state, written by Refresh (which the const readers call too).
+  struct Cache {
+    BurnStatus rows[kNumSloObjectives];  ///< burn state at bucket `index`
+    int64_t index = 0;        ///< sim_now / bucket_seconds the rows hold
+    bool dirty = false;       ///< ring or options changed since the rows
+    bool unchecked = false;   ///< rows recomputed since the last NewlyFiring
+    uint8_t fired = 0;        ///< objective bits firing at last NewlyFiring
+  };
+
   struct Tenant {
     SloOptions options;
     std::vector<Bucket> ring;  ///< sized for the long window
+    mutable Cache cache;
   };
+
+  using TenantMap = std::map<std::string, Tenant>;
+  using TenantEntry = TenantMap::value_type;
 
   struct WindowTotals {
     int64_t good = 0;
@@ -151,17 +172,35 @@ class SloEngine {
     int64_t exemplar_index = -1;  ///< bucket index the exemplar came from
   };
 
-  Tenant& TenantState(const std::string& id);
-  Bucket& BucketFor(Tenant& tenant, int64_t bucket_index);
+  TenantEntry& TenantState(const std::string& id);
+  void MarkDirty(const TenantEntry& entry);
+  /// The ring slot for `bucket_index`, reclaimed if it holds an older
+  /// index; nullptr if it already holds a newer one (the event is stale).
+  static Bucket* BucketFor(Tenant& tenant, int64_t bucket_index);
   WindowTotals Sum(const Tenant& tenant, SloObjective objective,
                    int64_t sim_now, int64_t window_seconds) const;
   static double Burn(const WindowTotals& totals, double budget);
 
+  /// Brings every tenant's cached rows up to sim_now: the dirty tenants,
+  /// and on leaving [stable_from_, stable_until_) every tenant whose bucket
+  /// index moved, rebuilding that range. Caller holds mu_.
+  void Refresh(int64_t sim_now) const;
+  void Recompute(const TenantEntry& entry, int64_t sim_now) const;
+  /// Shrinks the stable range to the sim times that keep `tenant`'s
+  /// cached bucket index.
+  void Narrow(const Tenant& tenant) const;
+
   SloOptions defaults_;
   mutable std::mutex mu_;
-  std::map<std::string, Tenant> tenants_;
-  /// (tenant, objective) pairs firing at the last NewlyFiring call.
-  std::set<std::pair<std::string, int>> firing_;
+  TenantMap tenants_;
+  /// Tenants marked dirty since the last Refresh.
+  mutable std::vector<const TenantEntry*> dirty_;
+  /// Tenants recomputed since the last NewlyFiring.
+  mutable std::vector<const TenantEntry*> unchecked_;
+  /// Sim times at which no clean tenant's bucket index differs from its
+  /// cached one. Empty until the first Refresh.
+  mutable int64_t stable_from_ = 0;
+  mutable int64_t stable_until_ = 0;
 };
 
 }  // namespace obs

@@ -1,10 +1,12 @@
 // SLO engine tests: burn arithmetic, the multi-window firing rule, window
-// edge cases (empty window, sim-clock jump, burn exactly at threshold) and
-// the rising-edge alert filter.
+// edge cases (empty window, sim-clock jump, burn exactly at threshold,
+// stale events), the rising-edge alert filter and concurrent readers.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/slo/slo_engine.h"
@@ -38,18 +40,17 @@ SloEvent ServedAt(int64_t sim_time) {
   return event;
 }
 
-const BurnStatus& StatusFor(const std::vector<BurnStatus>& all,
-                            const std::string& tenant,
-                            SloObjective objective) {
+/// Returns a copy: callers pass Evaluate's temporary result.
+BurnStatus StatusFor(const std::vector<BurnStatus>& all,
+                     const std::string& tenant, SloObjective objective) {
   for (const BurnStatus& status : all) {
     if (status.tenant == tenant && status.objective == objective) {
       return status;
     }
   }
-  static BurnStatus missing;
   ADD_FAILURE() << "no status for " << tenant << "/"
                 << SloObjectiveName(objective);
-  return missing;
+  return BurnStatus{};
 }
 
 TEST(SloEngineTest, EmptyWindowBurnsNothingAndNeverFires) {
@@ -137,6 +138,28 @@ TEST(SloEngineTest, SimClockJumpOrphansStaleBuckets) {
   const BurnStatus& reclaimed =
       StatusFor(engine.Evaluate(jumped), "t", SloObjective::kShedRate);
   EXPECT_EQ(reclaimed.long_burn, 0.0);
+}
+
+TEST(SloEngineTest, StaleEventDoesNotEraseNewerBucket) {
+  // Default geometry: 900 s buckets, 97 ring slots. Bucket 97 and bucket 0
+  // share slot 0, so a late event at sim time 0 lands on the live bucket.
+  SloEngine engine;
+  const int64_t now = 97 * 900 + 10;
+  for (int i = 0; i < 10; ++i) engine.Observe("t", ShedAt(now, 0x97));
+  const BurnStatus& before =
+      StatusFor(engine.Evaluate(now), "t", SloObjective::kShedRate);
+  ASSERT_DOUBLE_EQ(before.short_burn, 20.0);
+  ASSERT_TRUE(before.firing);
+
+  // A shed observed at its request's stale issue_time is dropped: it is
+  // older than the ring's newest lap and must not reclaim the slot.
+  engine.Observe("t", ShedAt(0, 0x01));
+  const BurnStatus& after =
+      StatusFor(engine.Evaluate(now), "t", SloObjective::kShedRate);
+  EXPECT_DOUBLE_EQ(after.short_burn, 20.0);
+  EXPECT_DOUBLE_EQ(after.long_burn, 20.0);
+  EXPECT_TRUE(after.firing);
+  EXPECT_EQ(after.exemplar_trace_id, 0x97u);
 }
 
 TEST(SloEngineTest, NewlyFiringIsRisingEdgeOnly) {
@@ -238,6 +261,37 @@ TEST(SloEngineTest, ClearResetsWindowsAndEdges) {
   // The edge state cleared too: the same burn fires fresh.
   for (int i = 0; i < 8; ++i) engine.Observe("t", ShedAt(100));
   EXPECT_EQ(engine.NewlyFiring(100).size(), 1u);
+}
+
+TEST(SloEngineTest, ConcurrentToJsonWhileObservingAndDraining) {
+  // /sloz renders from the status server's thread while drains observe and
+  // edge-check; Evaluate writes the shared row cache, so both sides must
+  // stay race-free (the TSan job runs this suite).
+  SloEngine engine(TestOptions());
+  constexpr int kSteps = 2000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    int64_t now = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::string json = engine.ToJson(now);
+      EXPECT_NE(json.find("\"objectives\""), std::string::npos);
+      now += 7;
+    }
+  });
+  const std::vector<std::string> tenants = {"t0", "t1", "t2", "t3",
+                                             "t4", "t5", "t6", "t7"};
+  size_t edges = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const int64_t now = step * 3;
+    engine.Observe(tenants[step % tenants.size()],
+                   step % 5 == 0 ? ShedAt(now, step + 1) : ServedAt(now));
+    edges += engine.NewlyFiring(now).size();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(edges, 0u);
+  EXPECT_EQ(engine.Evaluate(kSteps * 3).size(),
+            tenants.size() * kNumSloObjectives);
 }
 
 }  // namespace
