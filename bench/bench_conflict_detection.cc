@@ -24,7 +24,7 @@
 #include "firewall/conflict/analyzer.h"
 #include "firewall/conflict/device_graph.h"
 #include "firewall/conflict/setpoint_analyzer.h"
-#include "obs/scoped_timer.h"
+#include "obs/tracer.h"
 #include "rules/meta_rule.h"
 #include "rules/trigger_rule.h"
 
@@ -51,11 +51,10 @@ struct ScanResult {
 ScanResult ScanCorpus(int units, const SetpointOptions& options) {
   const rules::MetaRuleTable mrt = rules::VariedMrt(units, 1.0, kSeed);
   ScanResult result;
-  const int64_t t0 = obs::ScopedTimer::NowNs();
+  const int64_t t0 = obs::NowNs();
   ConflictReport report;
   result.rules = FindContradictorySetpoints(mrt, options, &report);
-  result.wall_ms =
-      static_cast<double>(obs::ScopedTimer::NowNs() - t0) / 1e6;
+  result.wall_ms = static_cast<double>(obs::NowNs() - t0) / 1e6;
   result.findings = static_cast<int64_t>(report.findings.size());
   return result;
 }
@@ -104,7 +103,7 @@ GraphResult RunGraphAdmissions(int tenants, int units_per_tenant) {
   }
 
   GraphResult result;
-  const int64_t t0 = obs::ScopedTimer::NowNs();
+  const int64_t t0 = obs::NowNs();
   for (int t = 0; t < tenants; ++t) {
     const auto findings =
         graph.TryInstall(StrFormat("home%05d", t), edge_sets[static_cast<size_t>(t)]);
@@ -112,7 +111,7 @@ GraphResult RunGraphAdmissions(int tenants, int units_per_tenant) {
                        ? Status::Ok()
                        : Status::Internal("unexpected cycle in disjoint sets"));
   }
-  const int64_t t1 = obs::ScopedTimer::NowNs();
+  const int64_t t1 = obs::NowNs();
   result.admits_per_sec = static_cast<double>(tenants) /
                           (static_cast<double>(t1 - t0) / 1e9);
   result.edges = static_cast<int64_t>(graph.edge_count());
@@ -122,9 +121,9 @@ GraphResult RunGraphAdmissions(int tenants, int units_per_tenant) {
   std::vector<CommandEdge> reverse =
       firewall::conflict::DeriveCommandEdges(LightToHvacTable(),
                                              units_per_tenant);
-  const int64_t t2 = obs::ScopedTimer::NowNs();
+  const int64_t t2 = obs::NowNs();
   const auto findings = graph.TryInstall("adversary", reverse);
-  result.reject_ms = static_cast<double>(obs::ScopedTimer::NowNs() - t2) / 1e6;
+  result.reject_ms = static_cast<double>(obs::NowNs() - t2) / 1e6;
   bench::CheckOk(!findings.empty()
                      ? Status::Ok()
                      : Status::Internal("adversary admission should reject"));
@@ -148,7 +147,7 @@ PassResult RunFullPass(int tenants, int units) {
         rules::VariedMrt(units, 1.0, MixHash(kSeed, static_cast<uint64_t>(t))));
   }
   PassResult result;
-  const int64_t t0 = obs::ScopedTimer::NowNs();
+  const int64_t t0 = obs::NowNs();
   for (int t = 0; t < tenants; ++t) {
     TenantRuleSet rule_set;
     rule_set.mrt = &mrts[static_cast<size_t>(t)];
@@ -164,8 +163,7 @@ PassResult RunFullPass(int tenants, int units) {
     result.rules += report.rules_analyzed;
   }
   result.admits_per_sec = static_cast<double>(tenants) /
-                          (static_cast<double>(obs::ScopedTimer::NowNs() - t0) /
-                           1e9);
+                          (static_cast<double>(obs::NowNs() - t0) / 1e9);
   return result;
 }
 

@@ -15,7 +15,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "obs/scoped_timer.h"
+#include "obs/tracer.h"
 #include "serve/fleet_service.h"
 #include "serve/tenant_table.h"
 
@@ -69,7 +69,7 @@ struct CellResult {
 DrainTiming TimedDrain(serve::FleetService& service, int tenants,
                        int plans_per_tenant, double* fe_sum_kwh) {
   const SimTime start = trace::EvaluationStart();
-  const int64_t t0 = obs::ScopedTimer::NowNs();
+  const int64_t t0 = obs::NowNs();
   for (int rep = 0; rep < plans_per_tenant; ++rep) {
     for (int i = 0; i < tenants; ++i) {
       serve::Request request;
@@ -88,7 +88,7 @@ DrainTiming TimedDrain(serve::FleetService& service, int tenants,
   }
   const std::vector<serve::Response> responses =
       service.Drain(start + kSecondsPerHour);
-  const int64_t elapsed_ns = obs::ScopedTimer::NowNs() - t0;
+  const int64_t elapsed_ns = obs::NowNs() - t0;
 
   DrainTiming timing;
   std::vector<int64_t> wall_ns;
@@ -202,16 +202,16 @@ LookupResult TenantLookup(int entries, int lookups) {
 
   LookupResult result;
   int64_t table_hits = 0;
-  const int64_t t0 = obs::ScopedTimer::NowNs();
+  const int64_t t0 = obs::NowNs();
   for (const serve::TenantId& id : probes) {
     if (table.Contains(id)) ++table_hits;
   }
-  const int64_t t1 = obs::ScopedTimer::NowNs();
+  const int64_t t1 = obs::NowNs();
   int64_t map_hits = 0;
   for (const serve::TenantId& id : probes) {
     if (reference.find(id) != reference.end()) ++map_hits;
   }
-  const int64_t t2 = obs::ScopedTimer::NowNs();
+  const int64_t t2 = obs::NowNs();
   if (table_hits != map_hits) {
     std::fprintf(stderr, "lookup mismatch: table=%lld map=%lld\n",
                  static_cast<long long>(table_hits),

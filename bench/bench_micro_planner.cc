@@ -2,15 +2,20 @@
 // slot evaluation, k-flip delta evaluation, per-slot planning at several
 // rule-table sizes, firewall filtering, trace generation and the weather /
 // ambient models. These back the F_T claims of Fig. 6 with component-level
-// numbers.
+// numbers. BM_TracedSpan prices the one timing primitive itself.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "common/thread_pool.h"
 #include "core/baselines.h"
 #include "core/evaluator.h"
 #include "core/hill_climber.h"
 #include "firewall/imcf_firewall.h"
+#include "obs/accounting/cost_ledger.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "trace/dataset.h"
 #include "trace/generator.h"
 #include "weather/weather.h"
@@ -217,6 +222,29 @@ void BM_BuildHourlyAmbientWeek(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildHourlyAmbientWeek);
+
+// One recorded span under a root context: Arg(0) with no sinks, Arg(1)
+// with the planner step's sinks (histogram, F_T total, kPlan charge).
+void BM_TracedSpan(benchmark::State& state) {
+  obs::MetricRegistry registry;
+  double ft_seconds = 0.0;
+  obs::SpanSinks sinks;
+  if (state.range(0) != 0) {
+    sinks = {.wall_ns = registry.GetHistogram("imcf_bench_span_wall_ns", "",
+                                              obs::LatencyBoundsNs()),
+             .wall_seconds = &ft_seconds,
+             .phase = obs::CostPhase::kPlan};
+  }
+  obs::CostLedger ledger(1);
+  const std::string tenant = "bench";
+  obs::ScopedCost cost(&ledger, 0, tenant);
+  obs::ScopedSpan root("bench.root", "bench", obs::Tracer::Root(1));
+  for (auto _ : state) {
+    obs::ScopedSpan span("bench.span", "bench", sinks);
+    benchmark::DoNotOptimize(span.context());
+  }
+}
+BENCHMARK(BM_TracedSpan)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace imcf

@@ -22,7 +22,7 @@
 #include "common/strings.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "obs/scoped_timer.h"
+#include "obs/tracer.h"
 #include "serve/fleet_service.h"
 #include "trace/dataset.h"
 
@@ -82,14 +82,14 @@ SweepResult RunSweep(int port, int connections, int frames_per_connection) {
   }
 
   std::vector<int64_t> received(static_cast<size_t>(connections), 0);
-  const int64_t t0 = obs::ScopedTimer::NowNs();
+  const int64_t t0 = obs::NowNs();
   std::vector<std::thread> threads;
   for (int i = 0; i < connections; ++i) {
     threads.emplace_back(DriveConnection, clients[i].get(), i % kTenants,
                          frames_per_connection, &received[i]);
   }
   for (std::thread& t : threads) t.join();
-  const int64_t elapsed_ns = obs::ScopedTimer::NowNs() - t0;
+  const int64_t elapsed_ns = obs::NowNs() - t0;
 
   SweepResult result;
   for (int64_t frames : received) result.frames += frames;

@@ -7,7 +7,7 @@
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/tracer.h"
 
 namespace imcf {
 
@@ -82,7 +82,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (shutdown_) return;
-    queue_.push(QueuedTask{std::move(task), obs::ScopedTimer::NowNs()});
+    queue_.push(QueuedTask{std::move(task), obs::NowNs()});
     ++in_flight_;
   }
   PoolMetrics::Get().queue_depth->Add(1.0);
@@ -111,7 +111,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    const int64_t dequeue_ns = obs::ScopedTimer::NowNs();
+    const int64_t dequeue_ns = obs::NowNs();
     metrics.queue_depth->Add(-1.0);
     metrics.task_wait_ns->Observe(
         static_cast<double>(dequeue_ns - task.enqueue_ns));
@@ -123,7 +123,7 @@ void ThreadPool::WorkerLoop() {
       metrics.task_exceptions_total->Increment();
     }
     metrics.task_run_ns->Observe(
-        static_cast<double>(obs::ScopedTimer::NowNs() - dequeue_ns));
+        static_cast<double>(obs::NowNs() - dequeue_ns));
     metrics.tasks_total->Increment();
     {
       std::unique_lock<std::mutex> lock(mu_);

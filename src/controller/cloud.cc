@@ -75,8 +75,8 @@ bool CloudMetaController::ProbeAvailable(const std::string& name,
   probe_attempts_ += trace.attempts;
   if (!trace.success) {
     ++probe_failures_;
-    IMCF_TRACE_EVENT("cmc.probe_failed", "controller", name, "attempts",
-                     trace.attempts);
+    obs::TraceEvent("cmc.probe_failed", "controller", name, "attempts",
+                    trace.attempts);
   }
   return trace.success;
 }
@@ -107,7 +107,7 @@ Status CloudMetaController::Adopt(const std::string& name) {
 }
 
 Status CloudMetaController::ForecastDemands() {
-  IMCF_TRACE_SPAN(span, "cmc.forecast", "controller");
+  obs::ScopedSpan span("cmc.forecast", "controller");
   for (size_t i = 0; i < names_.size(); ++i) {
     const std::string& name = names_[i];
     if (demand_kwh_.count(name) > 0) continue;  // cached
@@ -143,7 +143,7 @@ Status CloudMetaController::ForecastDemands() {
 
 Result<sim::SimulationReport> CloudMetaController::RunHousehold(
     const std::string& name, double allocation_kwh) {
-  IMCF_TRACE_SPAN(span, "cmc.household", "controller");
+  obs::ScopedSpan span("cmc.household", "controller");
   span.Detail(name);
   sim::SimulationReport report;
   IMCF_RETURN_IF_ERROR(registry_->WithTenant(
@@ -158,7 +158,7 @@ Result<sim::SimulationReport> CloudMetaController::RunHousehold(
 }
 
 Result<std::vector<double>> CloudMetaController::Allocate() {
-  IMCF_TRACE_SPAN(span, "cmc.allocate", "controller");
+  obs::ScopedSpan span("cmc.allocate", "controller");
   span.Detail(AllocationPolicyName(options_.policy));
   const size_t n = names_.size();
   std::vector<double> shares(n, 0.0);
@@ -241,9 +241,9 @@ Result<CloudReport> CloudMetaController::Run() {
   }
   // A coordination round is its own trace root unless a caller already
   // opened one (e.g. a traced bench harness).
-  [[maybe_unused]] const obs::TraceContext ambient = obs::Tracer::Current();
-  IMCF_TRACE_SPAN_IN(
-      run_span, "cmc.run", "controller",
+  const obs::TraceContext ambient = obs::Tracer::Current();
+  obs::ScopedSpan run_span(
+      "cmc.run", "controller",
       ambient.valid() ? ambient
                       : obs::Tracer::Root(obs::Tracer::MintTraceId()));
   run_span.Arg("households", static_cast<int64_t>(names_.size()));

@@ -1,6 +1,5 @@
 #include "controller/prototype.h"
 
-#include <chrono>
 #include <map>
 #include <memory>
 
@@ -15,7 +14,7 @@
 #include "fault/fallback_weather.h"
 #include "firewall/imcf_firewall.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/tracer.h"
 #include "trace/dataset.h"
 #include "weather/weather.h"
 
@@ -23,8 +22,6 @@ namespace imcf {
 namespace controller {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// The family home: three room units with larger split units and lighting
 /// circuits than the House dataset's small zones (the prototype home is a
@@ -220,8 +217,14 @@ Result<PrototypeReport> PrototypeStudy::Run(
                 obs::LatencyBoundsNs());
         core::PlanOutcome outcome;
         {
-          obs::ScopedTimer plan_span(plan_ns, &report.ft_seconds);
+          obs::ScopedSpan plan_span("ep.search", "core",
+                                    {.wall_ns = plan_ns,
+                                     .wall_seconds = &report.ft_seconds,
+                                     .phase = obs::CostPhase::kPlan});
           outcome = planner.PlanSlot(evaluator, &rng);
+          plan_span.Arg("iterations", outcome.iterations);
+          plan_span.Arg("accepted", outcome.moves_accepted);
+          plan_span.Detail(outcome.SearchShape());
         }
 
         // Install firewall verdicts and route the commands.

@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "obs/scoped_timer.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 
 namespace imcf {
 namespace controller {
@@ -116,7 +117,9 @@ int64_t VirtualScheduler::AdvanceTo(SimTime until) {
       "imcf_scheduler_interfire_seconds",
       "Virtual gap between consecutive firings of the same job",
       obs::ExponentialBuckets(60.0, 4.0, 10));
-  obs::ScopedTimer span(wall_ns, &now_, sim_seconds);
+  obs::ScopedSpan span("scheduler.advance", "controller",
+                       {.wall_ns = wall_ns, .sim_seconds = sim_seconds});
+  span.BindSimClock(&now_);
 
   int64_t fired = 0;
   while (now_ < until) {

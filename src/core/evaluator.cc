@@ -157,9 +157,8 @@ SlotEvaluator::~SlotEvaluator() {
   // so the thread's ambient cost sink (if any) charges the flip
   // evaluations to the tenant being planned. Deterministic: these are
   // pure counts of planner work, independent of worker count.
-  IMCF_COST_ADD_FLIP_EVALS(cache_stats_.cache_hits +
-                           cache_stats_.cache_misses +
-                           cache_stats_.full_evals);
+  obs::CostAddFlipEvals(cache_stats_.cache_hits + cache_stats_.cache_misses +
+                        cache_stats_.full_evals);
 }
 
 Objectives SlotEvaluator::Evaluate(const Solution& s) const {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 
 namespace imcf {
 namespace core {
@@ -285,9 +284,6 @@ PlanOutcome PlanSlotImpl(const SlotEvaluator& evaluator,
 
 PlanOutcome HillClimbingPlanner::PlanSlot(const SlotEvaluator& evaluator,
                                           Rng* rng) const {
-  // Under a traced request this nests inside plan.slot; a bare PlanSlot
-  // (micro-bench, unit test) has no ambient context and the span is inert.
-  IMCF_TRACE_SPAN(search_span, "ep.search", "core");
   const int tau_max = EffectiveTauMax(evaluator.problem().n_rules);
   PlanOutcome outcome = PlanSlotImpl(evaluator, options_, tau_max, rng);
 
@@ -327,17 +323,6 @@ PlanOutcome HillClimbingPlanner::PlanSlot(const SlotEvaluator& evaluator,
     if (outcome.repair_drops != 0) repairs->Increment(outcome.repair_drops);
     if (outcome.early_exit) early->Increment();
     if (outcome.zero_fallback) fallbacks->Increment();
-  }
-
-  // Search-shape annotations; every value is rng-stream deterministic.
-  search_span.Arg("iterations", outcome.iterations);
-  search_span.Arg("accepted", outcome.moves_accepted);
-  if (outcome.zero_fallback) {
-    search_span.Detail("zero_fallback");
-  } else if (outcome.early_exit) {
-    search_span.Detail("early_exit");
-  } else if (!outcome.feasible) {
-    search_span.Detail("infeasible");
   }
   return outcome;
 }

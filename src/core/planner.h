@@ -28,6 +28,14 @@ struct PlanOutcome {
   int repair_drops = 0;    ///< rules dropped by the greedy repair phase
   bool early_exit = false;    ///< search stopped at a zero-error optimum
   bool zero_fallback = false; ///< fell back to the all-zeros (NR) vector
+
+  /// How the search ended, for the planner step's span detail:
+  /// "zero_fallback", "early_exit", "infeasible", or "" for a plain finish.
+  const char* SearchShape() const {
+    if (zero_fallback) return "zero_fallback";
+    if (early_exit) return "early_exit";
+    return feasible ? "" : "infeasible";
+  }
 };
 
 /// Strategy interface.

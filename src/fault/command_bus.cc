@@ -90,11 +90,11 @@ Delivery CommandBus::Deliver(const devices::ActuationCommand& cmd) {
   // the retry depth). Fault decisions are (seed, channel, time)-pure, so
   // these events are deterministic.
   if (!trace.success) {
-    IMCF_TRACE_EVENT("bus.undeliverable", "fault", channel, "attempts",
-                     trace.attempts);
+    obs::TraceEvent("bus.undeliverable", "fault", channel, "attempts",
+                    trace.attempts);
   } else if (trace.attempts > 1) {
-    IMCF_TRACE_EVENT("bus.retry_delivered", "fault", channel, "attempts",
-                     trace.attempts);
+    obs::TraceEvent("bus.retry_delivered", "fault", channel, "attempts",
+                    trace.attempts);
   }
   stats_.attempts += trace.attempts;
   stats_.retries += trace.attempts > 0 ? trace.attempts - 1 : 0;

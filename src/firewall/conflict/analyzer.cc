@@ -125,7 +125,7 @@ ConflictAnalyzer::ConflictAnalyzer(int shards, ConflictOptions options)
 
 ConflictReport ConflictAnalyzer::Analyze(int shard, const std::string& tenant,
                                          const TenantRuleSet& rule_set) {
-  IMCF_TRACE_SPAN(span, "conflict.analyze", "firewall");
+  obs::ScopedSpan span("conflict.analyze", "firewall");
   ConflictReport report;
   report.tenant = tenant;
 

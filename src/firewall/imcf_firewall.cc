@@ -128,9 +128,9 @@ void MetaControlFirewall::Record(Decision decision) {
   // each drop leaves one event naming the deciding layer (the reason) and
   // the rule, nested under the slot/request span that issued the command.
   if (decision.verdict == Verdict::kDrop) {
-    IMCF_TRACE_EVENT("fw.drop", "firewall",
-                     DecisionReasonName(decision.reason), "rule",
-                     decision.command.rule_id);
+    obs::TraceEvent("fw.drop", "firewall",
+                    DecisionReasonName(decision.reason), "rule",
+                    decision.command.rule_id);
   }
   ++stats_.total;
   ++stats_.by_reason[static_cast<size_t>(decision.reason)];

@@ -296,8 +296,8 @@ void WireServer::HandleFrame(Connection& conn, const Frame& frame) {
   // pattern; ids are masked as measurements in canonical comparisons) and
   // links the request id as an arg once assigned. The execute half of the
   // request's own trace is parented by Submit.
-  IMCF_TRACE_SPAN_IN(recv_span, "net.recv", "net",
-                     obs::Tracer::Root(obs::Tracer::MintTraceId()));
+  obs::ScopedSpan recv_span("net.recv", "net",
+                            obs::Tracer::Root(obs::Tracer::MintTraceId()));
   Result<WireRequest> decoded = DecodeRequestPayload(frame.payload);
   if (!decoded.ok()) {
     recv_span.Detail("decode_error");
@@ -348,8 +348,8 @@ void WireServer::DrainPending() {
     // The send half joins the request's own deterministic trace as a
     // second root: submit -> execute -> ... -> net.send reads as one
     // request tree in the Perfetto view.
-    IMCF_TRACE_SPAN_IN(
-        send_span, "net.send", "net",
+    obs::ScopedSpan send_span(
+        "net.send", "net",
         obs::Tracer::Root(serve::FleetService::TraceIdFor(response.id)));
     send_span.Detail(serve::ServeOutcomeName(response.outcome));
     std::string payload;

@@ -207,12 +207,6 @@ ScopedCost::~ScopedCost() {
   ledger_->Apply(shard_, *tenant_, local_);
 }
 
-void CostAddPhaseNs(CostPhase phase, int64_t ns) {
-  if (TenantCost* sink = g_ambient_cost) {
-    sink->phase_ns[static_cast<size_t>(phase)] += ns;
-  }
-}
-
 void CostAddArenaBytes(int64_t bytes) {
   if (TenantCost* sink = g_ambient_cost) sink->arena_bytes += bytes;
 }

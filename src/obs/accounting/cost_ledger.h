@@ -13,17 +13,16 @@
 //   * Lock-cheap. A ScopedCost accumulates into plain (non-atomic) fields
 //     of a stack-local TenantCost and takes exactly one shard mutex at
 //     destruction to merge. Layers below the scope (the simulator, the
-//     evaluators, the batch planner) add through a thread-local pointer —
-//     one TLS read and a plain add, no atomics, no branches beyond a null
-//     check.
+//     evaluators, the arena) add through a thread-local pointer — one TLS
+//     read and a plain add, no atomics, no branches beyond a null check.
+//   * One clock. Phase nanoseconds are written by exactly two things: a
+//     closing obs::ScopedSpan with a SpanSinks::phase (its self time, see
+//     obs/tracer.h) and the drain's queue-wait observation. No call site
+//     reads the clock a second time to charge a phase.
 //   * Deterministic. Every non-timing field is an int64 count, so ledger
 //     totals are sums of commutative integer adds: bit-identical for any
 //     worker count, like the canonical trace trees (DESIGN.md §11). The
 //     *_ns fields are wall measurements and are masked by CanonicalText().
-//   * Compiles out. -DIMCF_DISABLE_ACCOUNTING turns ScopedCost and the
-//     CostAdd* hooks into empty inline stubs (the IMCF_DISABLE_TRACING
-//     pattern); the ledger classes still build so introspection pages
-//     degrade to empty rather than vanishing.
 //
 // This module is a dependency leaf (std only), like the rest of obs.
 
@@ -43,10 +42,10 @@ namespace obs {
 /// Where a unit of tenant work spent its CPU time.
 enum class CostPhase : uint8_t {
   kQueueWait = 0,   ///< admission to drain (wall, observed by the drain)
-  kPlan = 1,        ///< planner search (ep.search / PlanSlot)
-  kSim = 2,         ///< simulation outside the planner (sim.run remainder)
-  kCommandBus = 3,  ///< fault-gated command delivery
-  kConflict = 4,    ///< admission/update conflict analysis
+  kPlan = 1,        ///< planner step (ep.search / plan.search self time)
+  kSim = 2,         ///< simulation outside the planner (sim.run self time)
+  kCommandBus = 3,  ///< fault-gated command delivery (bus.deliver)
+  kConflict = 4,    ///< conflict analysis (conflict.admission / .update)
 };
 
 inline constexpr size_t kNumCostPhases = 5;
@@ -150,19 +149,18 @@ class CostLedger {
 // Ambient accumulation hooks.
 //
 // A ScopedCost publishes its local TenantCost as the thread's ambient cost
-// sink; layers that know their cost but not their tenant (the simulator's
-// phase split, the evaluators' flip tallies, the arena) add through the
-// CostAdd* free functions. One scope per unit of tenant work, opened where
-// the tenant is known (TenantRegistry::WithTenant, the cloud controller's
-// coordination loop), flushed to the ledger exactly once at destruction.
+// sink; layers that know their cost but not their tenant (phase spans, the
+// evaluators' flip tallies, the arena) add through it — spans at close,
+// counts through the CostAdd* free functions. One scope per unit of tenant
+// work, opened where the tenant is known (TenantRegistry::WithTenant, the
+// cloud controller's coordination loop), flushed to the ledger exactly
+// once at destruction.
 // ---------------------------------------------------------------------------
 
 /// RAII cost scope: stack-local accumulator, ambient for nested layers,
 /// one locked merge into the ledger at destruction. Scopes nest — an inner
 /// scope shadows the outer one (its costs flush to its own tenant), and the
 /// outer sink is restored on exit. A scope with a null ledger is inert.
-/// Call sites use IMCF_COST_SCOPE so a -DIMCF_DISABLE_ACCOUNTING build
-/// compiles the instrumentation out entirely (NoopCost below).
 class ScopedCost {
  public:
   ScopedCost(CostLedger* ledger, int shard, const std::string& tenant);
@@ -189,52 +187,13 @@ class ScopedCost {
 };
 
 /// Adds to the calling thread's ambient cost sink; no-ops without one.
-/// Call sites use the IMCF_COST_ADD_* macros, never these directly.
-void CostAddPhaseNs(CostPhase phase, int64_t ns);
 void CostAddArenaBytes(int64_t bytes);
 void CostAddFlipEvals(int64_t n);
 void CostAddFault(int64_t n = 1);
 
-/// The ambient sink itself (null when no scope is open). Exposed for tests
-/// and for callers that batch several adds.
+/// The ambient sink itself (null when no scope is open): where closing
+/// phase spans charge their self time, and what tests inspect.
 TenantCost* AmbientCost();
-
-/// No-op stand-in the disabled macro path expands to: same surface as
-/// ScopedCost, empty bodies, one byte, no TLS touch, no allocation.
-class NoopCost {
- public:
-  TenantCost* local() { return nullptr; }
-  bool active() const { return false; }
-};
-
-#if defined(IMCF_DISABLE_ACCOUNTING)
-#define IMCF_ACCOUNTING_ENABLED 0
-#define IMCF_COST_SCOPE(var, ledger, shard, tenant) \
-  [[maybe_unused]] ::imcf::obs::NoopCost var
-#define IMCF_COST_ADD_PHASE_NS(phase, ns) \
-  do {                                    \
-  } while (0)
-#define IMCF_COST_ADD_ARENA_BYTES(bytes) \
-  do {                                   \
-  } while (0)
-#define IMCF_COST_ADD_FLIP_EVALS(n) \
-  do {                              \
-  } while (0)
-#define IMCF_COST_ADD_FAULT(n) \
-  do {                         \
-  } while (0)
-#else
-#define IMCF_ACCOUNTING_ENABLED 1
-/// Opens cost scope `var` charging (shard, tenant) on `ledger`.
-#define IMCF_COST_SCOPE(var, ledger, shard, tenant) \
-  ::imcf::obs::ScopedCost var((ledger), (shard), (tenant))
-#define IMCF_COST_ADD_PHASE_NS(phase, ns) \
-  ::imcf::obs::CostAddPhaseNs((phase), (ns))
-#define IMCF_COST_ADD_ARENA_BYTES(bytes) \
-  ::imcf::obs::CostAddArenaBytes((bytes))
-#define IMCF_COST_ADD_FLIP_EVALS(n) ::imcf::obs::CostAddFlipEvals((n))
-#define IMCF_COST_ADD_FAULT(n) ::imcf::obs::CostAddFault((n))
-#endif  // IMCF_DISABLE_ACCOUNTING
 
 }  // namespace obs
 }  // namespace imcf

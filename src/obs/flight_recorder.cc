@@ -48,9 +48,9 @@ std::string& CurrentThreadNameSlot() {
 
 }  // namespace
 
-/// One ring slot. Every payload field is a relaxed atomic so seqlock
-/// readers racing a writer read *stale or mixed* values, never undefined
-/// ones; `seq` (odd while a write is in flight) lets readers detect and
+/// One ring slot. Every payload field is an atomic so seqlock readers
+/// racing a writer read *stale or mixed* values, never undefined ones;
+/// `seq` (odd while a write is in flight) lets readers detect and
 /// retry/skip the mix. Plain stores would be UB under the data race.
 struct FlightRecorder::Slot {
   std::atomic<uint64_t> seq{0};  ///< even: stable; odd: write in flight
@@ -141,25 +141,30 @@ void FlightRecorder::Record(const SpanRecord& record) {
 
   const uint64_t seq0 = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq0 + 1, std::memory_order_release);  // mark in-flight
-
-  slot.trace_id.store(record.trace_id, std::memory_order_relaxed);
-  slot.span_id.store(record.span_id, std::memory_order_relaxed);
+  // Payload stores are releases (plain moves on x86): a release store of
+  // the odd mark does not keep later relaxed stores from moving above it,
+  // so a reader could see new payload with the old even mark. A reader
+  // that acquires any new payload value also sees the odd mark (Boehm,
+  // "Can seqlocks get along with programming language memory models?";
+  // a fence would do too, but GCC's TSan build rejects fences).
+  slot.trace_id.store(record.trace_id, std::memory_order_release);
+  slot.span_id.store(record.span_id, std::memory_order_release);
   slot.parent_span_id.store(record.parent_span_id,
-                            std::memory_order_relaxed);
-  slot.name.store(record.name, std::memory_order_relaxed);
-  slot.category.store(record.category, std::memory_order_relaxed);
-  slot.wall_start_ns.store(record.wall_start_ns, std::memory_order_relaxed);
-  slot.wall_end_ns.store(record.wall_end_ns, std::memory_order_relaxed);
-  slot.sim_start.store(record.sim_start, std::memory_order_relaxed);
-  slot.sim_end.store(record.sim_end, std::memory_order_relaxed);
-  slot.arg_name.store(record.arg_name, std::memory_order_relaxed);
-  slot.arg_value.store(record.arg_value, std::memory_order_relaxed);
-  slot.arg2_name.store(record.arg2_name, std::memory_order_relaxed);
-  slot.arg2_value.store(record.arg2_value, std::memory_order_relaxed);
+                            std::memory_order_release);
+  slot.name.store(record.name, std::memory_order_release);
+  slot.category.store(record.category, std::memory_order_release);
+  slot.wall_start_ns.store(record.wall_start_ns, std::memory_order_release);
+  slot.wall_end_ns.store(record.wall_end_ns, std::memory_order_release);
+  slot.sim_start.store(record.sim_start, std::memory_order_release);
+  slot.sim_end.store(record.sim_end, std::memory_order_release);
+  slot.arg_name.store(record.arg_name, std::memory_order_release);
+  slot.arg_value.store(record.arg_value, std::memory_order_release);
+  slot.arg2_name.store(record.arg2_name, std::memory_order_release);
+  slot.arg2_value.store(record.arg2_value, std::memory_order_release);
   uint64_t packed[kSpanDetailBytes / 8];
   std::memcpy(packed, record.detail, kSpanDetailBytes);
   for (size_t i = 0; i < kSpanDetailBytes / 8; ++i) {
-    slot.detail[i].store(packed[i], std::memory_order_relaxed);
+    slot.detail[i].store(packed[i], std::memory_order_release);
   }
 
   slot.seq.store(seq0 + 2, std::memory_order_release);  // stable again
@@ -180,26 +185,28 @@ std::vector<SpanRecord> FlightRecorder::Snapshot() const {
       for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
         const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
         if (s1 & 1) continue;  // write in flight
-        record.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-        record.span_id = slot.span_id.load(std::memory_order_relaxed);
+        record.trace_id = slot.trace_id.load(std::memory_order_acquire);
+        record.span_id = slot.span_id.load(std::memory_order_acquire);
         record.parent_span_id =
-            slot.parent_span_id.load(std::memory_order_relaxed);
-        record.name = slot.name.load(std::memory_order_relaxed);
-        record.category = slot.category.load(std::memory_order_relaxed);
+            slot.parent_span_id.load(std::memory_order_acquire);
+        record.name = slot.name.load(std::memory_order_acquire);
+        record.category = slot.category.load(std::memory_order_acquire);
         record.wall_start_ns =
-            slot.wall_start_ns.load(std::memory_order_relaxed);
-        record.wall_end_ns = slot.wall_end_ns.load(std::memory_order_relaxed);
-        record.sim_start = slot.sim_start.load(std::memory_order_relaxed);
-        record.sim_end = slot.sim_end.load(std::memory_order_relaxed);
-        record.arg_name = slot.arg_name.load(std::memory_order_relaxed);
-        record.arg_value = slot.arg_value.load(std::memory_order_relaxed);
-        record.arg2_name = slot.arg2_name.load(std::memory_order_relaxed);
-        record.arg2_value = slot.arg2_value.load(std::memory_order_relaxed);
+            slot.wall_start_ns.load(std::memory_order_acquire);
+        record.wall_end_ns = slot.wall_end_ns.load(std::memory_order_acquire);
+        record.sim_start = slot.sim_start.load(std::memory_order_acquire);
+        record.sim_end = slot.sim_end.load(std::memory_order_acquire);
+        record.arg_name = slot.arg_name.load(std::memory_order_acquire);
+        record.arg_value = slot.arg_value.load(std::memory_order_acquire);
+        record.arg2_name = slot.arg2_name.load(std::memory_order_acquire);
+        record.arg2_value = slot.arg2_value.load(std::memory_order_acquire);
         uint64_t packed[kSpanDetailBytes / 8];
         for (size_t d = 0; d < kSpanDetailBytes / 8; ++d) {
-          packed[d] = slot.detail[d].load(std::memory_order_relaxed);
+          packed[d] = slot.detail[d].load(std::memory_order_acquire);
         }
         std::memcpy(record.detail, packed, kSpanDetailBytes);
+        // The payload loads are acquires, so none of them can sink below
+        // this re-check.
         const uint64_t s2 = slot.seq.load(std::memory_order_acquire);
         stable = (s1 == s2);
       }

@@ -10,9 +10,9 @@
 //     bounded no matter how long the service runs — exactly a black-box
 //     flight recorder, dumpable after the fact.
 //   * Lock-free writers. A thread's ring is single-producer: recording a
-//     span is a handful of relaxed atomic stores bracketed by a per-slot
-//     sequence number (seqlock), never a mutex. Writers on different
-//     threads touch different rings and never contend.
+//     span is a handful of release stores (plain moves on x86) bracketed
+//     by a per-slot sequence number (seqlock), never a mutex. Writers on
+//     different threads touch different rings and never contend.
 //   * Readers are rare and best-effort. Snapshot() walks every ring under
 //     the registry mutex (which only guards ring *enumeration*), copying
 //     slots with bounded seqlock retries; a slot being overwritten mid-copy

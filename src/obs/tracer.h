@@ -14,11 +14,13 @@
 //     opens its execute span with that context as parent — the
 //     enqueue -> drain handoff keeps one request one tree.
 //
-// Spans dual-stamp like obs::ScopedTimer: wall nanoseconds always, and
-// SimTime seconds when bound via SimSpan()/BindSimClock(). Completed spans
-// land in the FlightRecorder (obs/flight_recorder.h); obs/trace_export.h
-// turns snapshots into Perfetto JSON, canonical (determinism-witness) text
-// and compact slow-request lines.
+// A span is also the one timing primitive: at close its one wall-clock
+// pair (and its sim stamps, when bound) feeds every SpanSinks field it was
+// given, whether or not it records. Phase rule: a span with a CostPhase
+// charges its SELF time — its duration minus the durations of phase spans
+// that closed inside it on the same thread — so nested phases (sim.run
+// around ep.search) partition wall time. Completed spans land in the
+// FlightRecorder (obs/flight_recorder.h); obs/trace_export.h renders them.
 //
 // Determinism contract: span *content* (names, details, args, sim stamps,
 // parent links, per-trace creation order) is a pure function of the
@@ -26,11 +28,10 @@
 // thread indices are measurements. CanonicalTraceText masks the latter, so
 // span trees are bit-comparable at 1/4/8 workers.
 //
-// Cost: recording a span is ~a dozen relaxed atomic stores; a span that is
-// runtime-disabled (Tracer::set_enabled(false)) or has no trace context
-// costs one TLS read and a branch. Compiling with -DIMCF_DISABLE_TRACING
-// (CMake option IMCF_DISABLE_TRACING) replaces the IMCF_TRACE_* macros
-// with empty NoopSpan stubs, removing the instrumentation entirely.
+// Cost: one recorded span is ~105-150 ns on a 4-core Xeon, the planner
+// step's three sinks adding ~10-20 ns (BM_TracedSpan; the spread is host
+// load); a span with neither sinks nor a trace context costs one TLS read
+// and a branch.
 //
 // Names, categories and arg names MUST be string literals — the flight
 // recorder stores the pointers. Dynamic text goes in Detail() (48 bytes,
@@ -40,12 +41,16 @@
 #define IMCF_OBS_TRACER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
+#include "obs/accounting/cost_ledger.h"
 #include "obs/flight_recorder.h"
 
 namespace imcf {
 namespace obs {
+
+class Histogram;
 
 /// Where a new span attaches: the trace it belongs to and the span that
 /// becomes its parent (0 = the new span is the trace root).
@@ -55,15 +60,10 @@ struct TraceContext {
   bool valid() const { return trace_id != 0; }
 };
 
-/// Static tracer state: the runtime switch, span-id minting and the
-/// thread-local ambient context.
+/// Static tracer state: span-id minting and the thread-local ambient
+/// context.
 class Tracer {
  public:
-  /// Runtime switch (default on — the flight recorder is always on).
-  /// Disabled spans cost one relaxed load and a branch.
-  static bool enabled();
-  static void set_enabled(bool enabled);
-
   /// Ambient context: the innermost live span on this thread, or an
   /// invalid context when none is open.
   static TraceContext Current();
@@ -82,22 +82,44 @@ class Tracer {
                          std::string_view detail, const char* arg_name,
                          int64_t arg_value);
   static uint64_t NextSpanId();
-  static void Push(TraceContext context);
+  /// Pushes onto the ambient stack; false (nothing pushed) when the stack
+  /// is already at its fixed depth.
+  static bool Push(TraceContext context);
   static void Pop();
 };
 
-/// RAII span. Construction stamps wall start and pushes the span onto the
-/// thread's context stack; destruction stamps wall end and records into
-/// FlightRecorder::Default(). A span constructed while tracing is disabled
-/// or without a valid trace context is inert (no stamps, no record).
+/// Monotonic wall clock reading in nanoseconds.
+int64_t NowNs();
+
+/// Where a closing span's measurements go besides the flight recorder.
+/// Every field is optional; a span with no sinks and no trace context
+/// reads no clock at all.
+struct SpanSinks {
+  /// Observes wall_end - wall_start, in nanoseconds.
+  Histogram* wall_ns = nullptr;
+  /// Accumulates the same duration in seconds (a running F_T total).
+  double* wall_seconds = nullptr;
+  /// Observes sim_end - sim_start; needs BindSimClock().
+  Histogram* sim_seconds = nullptr;
+  /// Charges the span's self time to this phase of AmbientCost().
+  std::optional<CostPhase> phase = std::nullopt;
+};
+
+/// RAII span. Construction stamps wall start and, under a trace context,
+/// pushes the span onto the thread's context stack; destruction stamps
+/// wall end, feeds `sinks` and, under a trace context, records into
+/// FlightRecorder::Default(). A span with neither sinks nor a valid trace
+/// context is inert (no stamps, no record).
 class ScopedSpan {
  public:
-  /// Child of the thread's ambient context (inert when there is none).
-  ScopedSpan(const char* name, const char* category);
+  /// Child of the thread's ambient context (records only when there is
+  /// one; the sinks are fed either way).
+  ScopedSpan(const char* name, const char* category, SpanSinks sinks = {});
 
   /// Child of an explicit context — the cross-thread handoff constructor —
   /// or a trace root when `parent` is Tracer::Root(id).
-  ScopedSpan(const char* name, const char* category, TraceContext parent);
+  ScopedSpan(const char* name, const char* category, TraceContext parent,
+             SpanSinks sinks = {});
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -116,7 +138,7 @@ class ScopedSpan {
 
   /// Binds the span to a simulation clock (SimTime seconds, borrowed,
   /// must outlive the span): sim_start is read now, sim_end at
-  /// destruction — the dual-stamp pattern of obs::ScopedTimer.
+  /// destruction. Feeds SpanSinks::sim_seconds.
   void BindSimClock(const int64_t* sim_clock);
 
   /// Context for children of this span (cross-thread propagation).
@@ -124,12 +146,18 @@ class ScopedSpan {
     return {record_.trace_id, record_.span_id};
   }
 
-  /// Whether this span records anything (false when disabled/contextless).
+  /// Whether this span records into the flight recorder (false when it
+  /// has no trace context).
   bool active() const { return active_; }
 
  private:
   SpanRecord record_;
+  SpanSinks sinks_;
   const int64_t* sim_clock_ = nullptr;
+  /// Phase spans only: the enclosing phase span's closed-child total,
+  /// restored (plus this span's duration) at close.
+  int64_t saved_phase_child_ns_ = 0;
+  bool timed_ = false;  ///< reads the clock (has sinks or a context)
   bool active_ = false;
   bool pushed_ = false;
 };
@@ -140,39 +168,6 @@ class ScopedSpan {
 void TraceEvent(const char* name, const char* category,
                 std::string_view detail = {},
                 const char* arg_name = nullptr, int64_t arg_value = 0);
-
-/// No-op stand-in the disabled macro path expands to: same surface as
-/// ScopedSpan, empty bodies, no storage beyond one byte, no allocation.
-class NoopSpan {
- public:
-  void Detail(std::string_view) {}
-  void Arg(const char*, int64_t) {}
-  void SimSpan(int64_t, int64_t) {}
-  void BindSimClock(const int64_t*) {}
-  TraceContext context() const { return {}; }
-  bool active() const { return false; }
-};
-
-#if defined(IMCF_DISABLE_TRACING)
-#define IMCF_TRACING_ENABLED 0
-#define IMCF_TRACE_SPAN(var, name, category) \
-  [[maybe_unused]] ::imcf::obs::NoopSpan var
-#define IMCF_TRACE_SPAN_IN(var, name, category, parent) \
-  [[maybe_unused]] ::imcf::obs::NoopSpan var
-#define IMCF_TRACE_EVENT(...) \
-  do {                        \
-  } while (0)
-#else
-#define IMCF_TRACING_ENABLED 1
-/// Opens span `var` as a child of the thread's ambient context.
-#define IMCF_TRACE_SPAN(var, name, category) \
-  ::imcf::obs::ScopedSpan var((name), (category))
-/// Opens span `var` under an explicit TraceContext (cross-thread handoff).
-#define IMCF_TRACE_SPAN_IN(var, name, category, parent) \
-  ::imcf::obs::ScopedSpan var((name), (category), (parent))
-/// Records an instant event under the ambient context.
-#define IMCF_TRACE_EVENT(...) ::imcf::obs::TraceEvent(__VA_ARGS__)
-#endif
 
 }  // namespace obs
 }  // namespace imcf

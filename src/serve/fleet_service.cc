@@ -12,7 +12,6 @@
 #include "firewall/conflict/dataflow_policy.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
 #include "serve/introspection.h"
@@ -89,8 +88,7 @@ FleetService::FleetService(FleetOptions options)
                                                options_.fault,
                                                options_.retry);
   // The ledger shares the registry's shard geometry, and the registry's
-  // WithTenant chokepoint charges into it; under IMCF_DISABLE_ACCOUNTING
-  // the ledger object exists but nothing ever writes to it.
+  // WithTenant chokepoint charges into it.
   cost_ledger_ = std::make_unique<obs::CostLedger>(options_.shards);
   registry_->set_cost_ledger(cost_ledger_.get());
   slo_ = std::make_unique<obs::SloEngine>(options_.slo);
@@ -170,8 +168,8 @@ std::optional<Response> FleetService::Submit(Request request,
   // The request's trace root. The id-derived trace id makes the span tree
   // replayable; the context crosses the enqueue -> drain thread handoff
   // inside the queued request.
-  IMCF_TRACE_SPAN_IN(submit_span, "serve.submit", "serve",
-                     obs::Tracer::Root(ServeTraceId(id)));
+  obs::ScopedSpan submit_span("serve.submit", "serve",
+                              obs::Tracer::Root(ServeTraceId(id)));
   submit_span.Detail(RequestKindName(request.kind));
   request.trace = submit_span.context();
 
@@ -180,7 +178,7 @@ std::optional<Response> FleetService::Submit(Request request,
   rejection.tenant = request.tenant;
   rejection.kind = request.kind;
   if (!registry_->Contains(request.tenant)) {
-    IMCF_TRACE_EVENT("serve.tenant_not_found", "serve");
+    obs::TraceEvent("serve.tenant_not_found", "serve");
     rejection.outcome = ServeOutcome::kTenantNotFound;
     rejection.status = Status::NotFound("no such tenant: " + request.tenant);
     CountResponse(rejection);
@@ -195,7 +193,7 @@ std::optional<Response> FleetService::Submit(Request request,
     if (shard.items.size() <
         static_cast<size_t>(options_.queue_capacity)) {
       shard.items.push_back(QueuedItem{id, shard_index,
-                                       obs::ScopedTimer::NowNs(),
+                                       obs::NowNs(),
                                        std::move(request)});
       queued_item = true;
     } else if (shard.drain_items > 0 && shard.drain_gap > 0) {
@@ -222,13 +220,12 @@ std::optional<Response> FleetService::Submit(Request request,
   }
   // Load shedding: reject-with-retry-after instead of buffering without
   // bound; the submitter owns the backoff.
-  IMCF_TRACE_EVENT("serve.shed", "serve", /*detail=*/{}, "shard",
-                   shard_index);
+  obs::TraceEvent("serve.shed", "serve", /*detail=*/{}, "shard",
+                  shard_index);
   sheds_since_check_.fetch_add(1, std::memory_order_relaxed);
   rejection.outcome = ServeOutcome::kShed;
   rejection.retry_after_seconds = retry_after;
   metrics.shed_total->Increment();
-#if IMCF_ACCOUNTING_ENABLED
   // Sheds enter the SLO windows at submission time: they never reach a
   // drain, so this is the only edge that can see them.
   obs::SloEvent shed_event;
@@ -236,7 +233,6 @@ std::optional<Response> FleetService::Submit(Request request,
   shed_event.shed = true;
   shed_event.trace_id = ServeTraceId(id);
   slo_->Observe(request.tenant, shed_event);
-#endif
   CountResponse(rejection);
   return rejection;
 }
@@ -278,16 +274,14 @@ Status FleetService::ExecuteCommand(Tenant& tenant, const Request& request,
   // delivery outcomes replay identically at any worker count.
   fault::CommandBus bus(&fault_plan_, options_.retry,
                         &tenant.simulator().registry());
-#if IMCF_ACCOUNTING_ENABLED
-  const int64_t bus_start_ns = obs::ScopedTimer::NowNs();
-#endif
+  // Retry/undeliverable bus events nest under this span.
+  obs::ScopedSpan deliver_span("bus.deliver", "fault",
+                               {.phase = obs::CostPhase::kCommandBus});
   const fault::Delivery delivery = bus.Deliver(cmd);
-  IMCF_COST_ADD_PHASE_NS(obs::CostPhase::kCommandBus,
-                         obs::ScopedTimer::NowNs() - bus_start_ns);
   // Faults charged to the tenant: every failed attempt (a delivered
   // command with N attempts burned N-1 faults; an undelivered one, N).
-  IMCF_COST_ADD_FAULT(delivery.delivered ? delivery.attempts - 1
-                                         : delivery.attempts);
+  obs::CostAddFault(delivery.delivered ? delivery.attempts - 1
+                                       : delivery.attempts);
   response->command_delivered = delivery.delivered;
   response->command_attempts = delivery.attempts;
   if (delivery.delivered) tenant.stats().commands_served += 1;
@@ -359,7 +353,7 @@ Response FleetService::Execute(const QueuedItem& item, SimTime now) {
   // The worker half of the request's trace: parented on the submit span
   // carried inside the request, so the cross-thread handoff keeps one
   // request one tree.
-  IMCF_TRACE_SPAN_IN(execute_span, "serve.execute", "serve", request.trace);
+  obs::ScopedSpan execute_span("serve.execute", "serve", request.trace);
   execute_span.SimSpan(request.issue_time, now);
 
   // Deadline check against the drain's virtual now — never wall time — so
@@ -374,7 +368,7 @@ Response FleetService::Execute(const QueuedItem& item, SimTime now) {
     return response;
   }
 
-  const int64_t start_ns = obs::ScopedTimer::NowNs();
+  const int64_t start_ns = obs::NowNs();
   const Status lookup =
       registry_->WithTenant(request.tenant, [&](Tenant& tenant) {
         Status work;
@@ -404,7 +398,7 @@ Response FleetService::Execute(const QueuedItem& item, SimTime now) {
         }
         return Status::Ok();
       });
-  response.wall_ns = obs::ScopedTimer::NowNs() - start_ns;
+  response.wall_ns = obs::NowNs() - start_ns;
   if (!lookup.ok()) {
     // Tenant removed between admission and execution.
     response.outcome = ServeOutcome::kTenantNotFound;
@@ -418,7 +412,7 @@ std::vector<Response> FleetService::Drain(SimTime now) {
   // 1. Snapshot every shard queue (per-tenant FIFO is the shard order).
   // Queue wait is observed here, on the draining thread: it is a wall
   // measurement, so it feeds the per-shard histogram but never a span arg.
-  const int64_t drain_start_ns = obs::ScopedTimer::NowNs();
+  const int64_t drain_start_ns = obs::NowNs();
   std::vector<QueuedItem> items;
   for (const auto& shard : queues_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -434,14 +428,12 @@ std::vector<Response> FleetService::Drain(SimTime now) {
     for (QueuedItem& item : shard->items) {
       shard_wait_ns_[static_cast<size_t>(item.shard)]->Observe(
           static_cast<double>(drain_start_ns - item.enqueue_ns));
-#if IMCF_ACCOUNTING_ENABLED
       // Queue wait is charged here because no ScopedCost is open while the
       // request sits in the queue — the drain is the first point where both
       // the tenant and the wait are known.
       cost_ledger_->AddPhaseNs(item.shard, item.request.tenant,
                                obs::CostPhase::kQueueWait,
                                drain_start_ns - item.enqueue_ns);
-#endif
       items.push_back(std::move(item));
     }
     shard->items.clear();
@@ -595,7 +587,6 @@ std::vector<size_t> FleetService::queue_depths() const {
 
 void FleetService::FeedSlo(const std::vector<Response>& responses,
                            SimTime now) {
-#if IMCF_ACCOUNTING_ENABLED
   for (const Response& response : responses) {
     if (response.outcome == ServeOutcome::kTenantNotFound ||
         response.tenant.empty()) {
@@ -633,10 +624,6 @@ void FleetService::FeedSlo(const std::vector<Response>& responses,
   } else {
     IMCF_LOG(kWarning) << "SLO burn: failed to write trace to " << path;
   }
-#else
-  (void)responses;
-  (void)now;
-#endif
 }
 
 void FleetService::CountResponse(const Response& response) {
@@ -648,7 +635,6 @@ void FleetService::CountResponse(const Response& response) {
     metrics.latency_ns->Observe(static_cast<double>(response.wall_ns),
                                 ServeTraceId(response.id));
   }
-#if IMCF_ACCOUNTING_ENABLED
   // Outcome tallies (the deterministic half of the ledger). Unknown-tenant
   // responses have no row to charge.
   if (response.outcome != ServeOutcome::kTenantNotFound &&
@@ -692,7 +678,6 @@ void FleetService::CountResponse(const Response& response) {
     cost_ledger_->Apply(registry_->ShardOf(response.tenant), response.tenant,
                         delta);
   }
-#endif
   if (options_.per_tenant_metrics && !response.tenant.empty()) {
     obs::MetricRegistry::Default()
         .GetCounter("imcf_serve_tenant_responses_total",

@@ -161,8 +161,7 @@ class FleetService {
   const TenantRegistry& registry() const { return *registry_; }
   const FleetOptions& options() const { return options_; }
 
-  /// Per-tenant cost attribution (who is spending what, by phase). Always
-  /// present; stays empty when built with IMCF_DISABLE_ACCOUNTING.
+  /// Per-tenant cost attribution (who is spending what, by phase).
   obs::CostLedger& cost_ledger() { return *cost_ledger_; }
   const obs::CostLedger& cost_ledger() const { return *cost_ledger_; }
 

@@ -23,7 +23,6 @@ std::string StatuszJson(const FleetService& service,
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("service").String("imcf-fleet");
-  json.Key("accounting_enabled").Bool(IMCF_ACCOUNTING_ENABLED != 0);
   json.Key("options").BeginObject();
   json.Key("shards").Int(options.shards);
   json.Key("workers").Int(options.workers);

@@ -1,7 +1,6 @@
 #include "serve/tenant_registry.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/strings.h"
@@ -168,20 +167,14 @@ Status TenantRegistry::AdmitWithSpec(const TenantConfig& config,
   // Conflict gate: the rule set must clear all three detectors before the
   // tenant becomes visible. Analysis time is attributed to the tenant's
   // own ledger row (kConflict phase) — a hostile tenant pays for its own
-  // rejections — and the span lands on the admission trace.
+  // rejections — and the span lands on the admission trace. The cost scope
+  // opens first so it is still ambient when the span closes and charges.
   firewall::conflict::ConflictReport report;
   {
-    IMCF_TRACE_SPAN(span, "conflict.admission", "serve");
-    IMCF_COST_SCOPE(cost, cost_ledger_, ShardOf(config.id), config.id);
-    // maybe_unused: the disabled-accounting IMCF_COST_ADD_PHASE_NS
-    // swallows its arguments without evaluating them.
-    [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
+    obs::ScopedCost cost(cost_ledger_, ShardOf(config.id), config.id);
+    obs::ScopedSpan span("conflict.admission", "serve",
+                         {.phase = obs::CostPhase::kConflict});
     report = AnalyzeRuleSet(config, spec, *simulator);
-    IMCF_COST_ADD_PHASE_NS(
-        obs::CostPhase::kConflict,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
     span.Arg("findings", static_cast<int64_t>(report.findings.size()));
     if (!report.ok()) {
       if (cost.local() != nullptr) cost.local()->conflict_rejections += 1;
@@ -216,15 +209,10 @@ Status TenantRegistry::ApplyMrtUpdate(
       std::make_unique<sim::Simulator>(BuildSimOptions(config, spec));
   IMCF_RETURN_IF_ERROR(simulator->Prepare());
 
-  IMCF_TRACE_SPAN(span, "conflict.update", "serve");
-  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
+  obs::ScopedSpan span("conflict.update", "serve",
+                       {.phase = obs::CostPhase::kConflict});
   firewall::conflict::ConflictReport local = AnalyzeRuleSet(config, spec,
                                                             *simulator);
-  IMCF_COST_ADD_PHASE_NS(
-      obs::CostPhase::kConflict,
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
   span.Arg("findings", static_cast<int64_t>(local.findings.size()));
   if (report != nullptr) *report = local;
   if (!local.ok()) {
@@ -294,11 +282,11 @@ Status TenantRegistry::WithTenant(const TenantId& id,
   if (tenant == nullptr) return Status::NotFound("no such tenant: " + id);
   // The span covers the tenant-mutex wait plus `fn`; contention on a hot
   // tenant shows up as serve.execute time spent here before any sim span.
-  IMCF_TRACE_SPAN(span, "tenant.with", "serve");
+  obs::ScopedSpan span("tenant.with", "serve");
   // Cost scope BEFORE the tenant mutex: lower layers (sim, planner,
   // evaluators) accumulate into its thread-local sink while `fn` runs, and
   // the single ledger flush happens after the mutex is released.
-  IMCF_COST_SCOPE(cost, cost_ledger_, ShardOf(id), id);
+  obs::ScopedCost cost(cost_ledger_, ShardOf(id), id);
   std::lock_guard<std::mutex> lock(tenant->mu_);
   return fn(*tenant);
 }

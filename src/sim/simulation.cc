@@ -1,7 +1,6 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 
 #include "common/logging.h"
@@ -13,7 +12,6 @@
 #include "fault/fallback_weather.h"
 #include "obs/accounting/cost_ledger.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/tracer.h"
 
 namespace imcf {
@@ -21,14 +19,8 @@ namespace sim {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Wall latency of one per-slot planning step (also accumulated into the
-/// run's F_T total through the ScopedTimer's seconds accumulator).
+/// Wall latency of one per-slot planning step (the same span also adds it
+/// to the run's F_T total and charges it to kPlan).
 obs::Histogram* PlanWallNsHist() {
   static obs::Histogram* const hist =
       obs::MetricRegistry::Default().GetHistogram(
@@ -46,7 +38,7 @@ int GroupId(int unit, devices::DeviceKind kind) {
 /// Deterministic trace id for one (policy, rep) grid cell: a pure function
 /// of the cell index, so grid traces compare bit-identical at any thread
 /// count.
-[[maybe_unused]] uint64_t CellTraceId(int cell) {
+uint64_t CellTraceId(int cell) {
   constexpr uint64_t kSimTraceSalt = 0x53494d43u;  // "SIMC"
   const uint64_t id = MixHash(kSimTraceSalt, static_cast<uint64_t>(cell));
   return id != 0 ? id : 1;
@@ -194,9 +186,11 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     return Status::FailedPrecondition("call Prepare() before Run()");
   }
   // Child of whatever requested this run (a serve.execute/tenant.with span
-  // or a sim.cell root); a bare Run() with no ambient context stays
-  // untraced and pays only the context probe.
-  IMCF_TRACE_SPAN(run_span, "sim.run", "sim");
+  // or a sim.cell root); a bare Run() with no ambient context records
+  // nothing. Either way its self time — the run minus its planner steps —
+  // is charged to kSim of the ambient cost scope, if any.
+  obs::ScopedSpan run_span("sim.run", "sim",
+                           {.phase = obs::CostPhase::kSim});
   run_span.Detail(PolicyName(policy));
   run_span.Arg("rep", rep);
   const trace::DatasetSpec& spec = options_.spec;
@@ -226,21 +220,13 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
   }
 
   // Evaluator tables are rebuilt per slot from this arena; a run-local one
-  // serves solo callers, batched callers lend a longer-lived arena that is
-  // already warm.
+  // serves most callers, while a caller that runs many plans back to back
+  // (the wire benchmark) may lend one that is already warm.
   core::PlanArena local_arena;
   core::PlanArena* const plan_arena = arena != nullptr ? arena : &local_arena;
-
-#if IMCF_ACCOUNTING_ENABLED
-  // Per-tenant cost attribution (no-op unless an ambient ScopedCost is
-  // open, i.e. the run is on behalf of a registry tenant). The run's wall
-  // time splits into kPlan (the planner_seconds accumulator below — the
-  // paper's F_T) and kSim (everything else: scheduling, firewall, ledger);
-  // arena traffic is the lifetime-counter delta, which is independent of
-  // how runs are batched onto workers.
+  // Arena traffic charged to the ambient cost scope is the lifetime-counter
+  // delta, independent of which arena served the run.
   const size_t arena_bytes_before = plan_arena->lifetime_allocated_bytes();
-  const int64_t run_start_ns = obs::ScopedTimer::NowNs();
-#endif
 
   Rng rng(MixHash(MixHash(options_.seed, static_cast<uint64_t>(rep)),
                   static_cast<uint64_t>(policy)));
@@ -269,6 +255,11 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
   double adopted_fraction_sum = 0.0;
   int64_t slots_with_active = 0;
   double planner_seconds = 0.0;
+  // The planner step is one span per slot whose clock pair feeds the
+  // plan-latency histogram, F_T and the kPlan ledger phase.
+  const obs::SpanSinks plan_sinks = {.wall_ns = PlanWallNsHist(),
+                                     .wall_seconds = &planner_seconds,
+                                     .phase = obs::CostPhase::kPlan};
   double carry = 0.0;
   double co2_g = 0.0;
   const energy::CarbonProfile carbon(options_.carbon);
@@ -298,13 +289,11 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     // One span per slot, covering planning, firewall routing and execution
     // accounting; firewall fw.drop events and the planner's ep.search span
     // nest under it.
-    IMCF_TRACE_SPAN(slot_span, "plan.slot", "sim");
+    obs::ScopedSpan slot_span("plan.slot", "sim");
     slot_span.SimSpan(slot_time,
                       slot_time + static_cast<SimTime>(span) * kSecondsPerHour);
-    [[maybe_unused]] const int64_t slot_issued_before =
-        report.commands_issued;
-    [[maybe_unused]] const int64_t slot_dropped_before =
-        report.commands_dropped;
+    const int64_t slot_issued_before = report.commands_issued;
+    const int64_t slot_dropped_before = report.commands_dropped;
 
     // Hours of the slot a daily window covers (1 for hourly slots).
     auto overlap_hours = [&](const TimeWindow& window) {
@@ -401,7 +390,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     accepted.assign(problem.active.size(), 0);
     if (policy == Policy::kIfttt) {
       {
-        obs::ScopedTimer plan_span(PlanWallNsHist(), &planner_seconds);
+        obs::ScopedSpan plan_span("plan.search", "core", plan_sinks);
         for (int u = 0; u < spec.units; ++u) {
           rules::EvaluationContext ctx;
           ctx.time = midpoint;
@@ -460,8 +449,15 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     } else {
       core::PlanOutcome outcome;
       {
-        obs::ScopedTimer plan_span(PlanWallNsHist(), &planner_seconds);
+        obs::ScopedSpan plan_span(
+            policy == Policy::kEnergyPlanner ? "ep.search" : "plan.search",
+            "core", plan_sinks);
         outcome = planner->PlanSlot(evaluator, &rng);
+        // Search-shape annotations; every value is rng-stream
+        // deterministic.
+        plan_span.Arg("iterations", outcome.iterations);
+        plan_span.Arg("accepted", outcome.moves_accepted);
+        plan_span.Detail(outcome.SearchShape());
       }
 
       dropped_ids.clear();
@@ -683,15 +679,8 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
           : 0.0;
   report.co2_kg = co2_g / 1000.0;
 
-#if IMCF_ACCOUNTING_ENABLED
-  const int64_t run_ns = obs::ScopedTimer::NowNs() - run_start_ns;
-  const int64_t plan_ns = static_cast<int64_t>(planner_seconds * 1e9);
-  IMCF_COST_ADD_PHASE_NS(obs::CostPhase::kPlan, plan_ns);
-  IMCF_COST_ADD_PHASE_NS(obs::CostPhase::kSim,
-                         std::max<int64_t>(0, run_ns - plan_ns));
-  IMCF_COST_ADD_ARENA_BYTES(static_cast<int64_t>(
+  obs::CostAddArenaBytes(static_cast<int64_t>(
       plan_arena->lifetime_allocated_bytes() - arena_bytes_before));
-#endif
   return report;
 }
 
@@ -729,12 +718,15 @@ Result<std::vector<RepeatedReport>> Simulator::RunGrid(
     const int rep = i % repetitions;
     // Each grid cell is a trace root with an id derived from its index, so
     // cell span trees replay identically at any thread count.
-    IMCF_TRACE_SPAN_IN(cell_span, "sim.cell", "sim",
-                       obs::Tracer::Root(CellTraceId(i)));
-    cell_span.Arg("cell", i);
-    const auto t0 = Clock::now();
-    cells[static_cast<size_t>(i)].emplace(Run(policy, rep));
-    cell_seconds->Observe(SecondsSince(t0));
+    double wall_seconds = 0.0;
+    {
+      obs::ScopedSpan cell_span("sim.cell", "sim",
+                                obs::Tracer::Root(CellTraceId(i)),
+                                {.wall_seconds = &wall_seconds});
+      cell_span.Arg("cell", i);
+      cells[static_cast<size_t>(i)].emplace(Run(policy, rep));
+    }
+    cell_seconds->Observe(wall_seconds);
     cells_total->Increment();
   });
 

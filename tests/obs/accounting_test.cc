@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/accounting/cost_ledger.h"
+#include "obs/tracer.h"
 
 namespace imcf {
 namespace obs {
@@ -156,7 +157,7 @@ TEST(ScopedCostTest, FlushesOnceAtDestruction) {
     ScopedCost cost(&ledger, 0, tenant);
     ASSERT_TRUE(cost.active());
     cost.local()->plans_ok = 1;
-    CostAddPhaseNs(CostPhase::kPlan, 50);
+    cost.local()->phase_ns[1] += 50;
     CostAddArenaBytes(64);
     CostAddFlipEvals(3);
     CostAddFault();
@@ -216,9 +217,10 @@ TEST(ScopedCostTest, AmbientIsPerThread) {
   const std::string tenant = "main-tenant";
   ScopedCost cost(&ledger, 0, tenant);
   std::thread other([] {
-    // A fresh thread has no ambient sink; adds are dropped, not misfiled.
+    // A fresh thread has no ambient sink; a phase span's self time is
+    // dropped, not misfiled.
     EXPECT_EQ(AmbientCost(), nullptr);
-    CostAddPhaseNs(CostPhase::kSim, 999);
+    ScopedSpan span("test.sim", "test", {.phase = CostPhase::kSim});
   });
   other.join();
   EXPECT_EQ(cost.local()->phase_ns[2], 0);

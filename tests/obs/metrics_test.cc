@@ -1,8 +1,9 @@
 // Tests for the metrics registry: concurrent update exactness under the
-// thread pool, quantile estimation, bucket helpers, and the dual-stamp
-// ScopedTimer. Tests build their own MetricRegistry instances rather than
-// touching Default(), so they cannot observe (or pollute) the counters the
-// instrumented production code publishes.
+// thread pool, quantile estimation and bucket helpers (the span sinks that
+// feed histograms are tested in tracer_test.cc). Tests build their own
+// MetricRegistry instances rather than touching Default(), so they cannot
+// observe (or pollute) the counters the instrumented production code
+// publishes.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 
 namespace imcf {
 namespace obs {
@@ -245,47 +245,6 @@ TEST(BucketHelpersTest, ExponentialAndLinear) {
   for (size_t i = 1; i < duration.size(); ++i) {
     EXPECT_LT(duration[i - 1], duration[i]);
   }
-}
-
-TEST(ScopedTimerTest, ObservesWallTimeOnDestruction) {
-  MetricRegistry registry;
-  Histogram* wall = registry.GetHistogram("imcf_test_span_ns", "help",
-                                          LatencyBoundsNs());
-  double accum = 0.0;
-  {
-    ScopedTimer span(wall, &accum);
-    EXPECT_GE(span.ElapsedNs(), 0);
-    EXPECT_EQ(wall->count(), 0);  // nothing observed until scope exit
-  }
-  EXPECT_EQ(wall->count(), 1);
-  EXPECT_GE(wall->sum(), 0.0);
-  EXPECT_GE(accum, 0.0);
-  EXPECT_DOUBLE_EQ(accum * 1e9, wall->sum());  // same clock read
-}
-
-TEST(ScopedTimerTest, DualStampObservesSimDelta) {
-  MetricRegistry registry;
-  Histogram* wall = registry.GetHistogram("imcf_test_dual_wall_ns", "help",
-                                          LatencyBoundsNs());
-  Histogram* sim = registry.GetHistogram("imcf_test_dual_sim_seconds",
-                                         "help", {60.0, 3600.0, 86400.0});
-  int64_t sim_clock = 1000;
-  {
-    ScopedTimer span(wall, &sim_clock, sim);
-    sim_clock += 3600;  // the span advances the simulation by one hour
-  }
-  EXPECT_EQ(wall->count(), 1);
-  ASSERT_EQ(sim->count(), 1);
-  EXPECT_DOUBLE_EQ(sim->sum(), 3600.0);
-  EXPECT_EQ(sim->bucket_count(1), 1);  // le="3600"
-}
-
-TEST(ScopedTimerTest, NullHistogramsAreSafe) {
-  // Single-clock spans pass nullptr for the stamps they skip.
-  int64_t sim_clock = 0;
-  { ScopedTimer span(nullptr); }
-  { ScopedTimer span(nullptr, &sim_clock, nullptr); }
-  { ScopedTimer span(nullptr, nullptr, nullptr); }
 }
 
 TEST(MetricRegistryTest, SnapshotIsSortedAndComplete) {

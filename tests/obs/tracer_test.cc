@@ -1,19 +1,27 @@
-// Tracer + flight recorder + exporters.
+// Tracer + flight recorder + exporters + span sinks.
 //
 // The Perfetto golden is byte-exact over hand-built SpanRecords (the
 // exporter sorts by wall start, formats doubles with %.15g); the live-span
-// tests exercise the TLS ambient stack, cross-thread handoff and the
-// recorder's wraparound, filtering the shared Default() recorder by
-// test-unique trace ids.
+// tests exercise the TLS ambient stack, cross-thread handoff, the
+// recorder's wraparound and concurrent snapshots, filtering the shared
+// Default() recorder by test-unique trace ids. TracerSinkTest covers the
+// span as the one timing primitive: histograms, the F_T accumulator, the
+// sim-seconds stamp and the phase self-time rule.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/accounting/cost_ledger.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
 
@@ -29,6 +37,23 @@ SpanRecord MakeRecord(uint64_t trace_id, uint64_t span_id, uint64_t parent,
   r.parent_span_id = parent;
   r.name = name;
   r.category = category;
+  return r;
+}
+
+/// Spins until the wall clock has moved `ns` past now, so timed spans in
+/// these tests have non-trivial durations.
+void SpinNs(int64_t ns) {
+  for (const int64_t until = NowNs() + ns; NowNs() < until;) {
+  }
+}
+
+/// Record `i` of the concurrent-snapshot test: the first, a middle and
+/// the last payload field the recorder stores are all derived from i.
+SpanRecord Derived(uint64_t i) {
+  SpanRecord r = MakeRecord(i, i * 3, 0, "s", "test");
+  r.sim_end = static_cast<int64_t>(i * 11);
+  std::snprintf(r.detail, sizeof(r.detail), "%llu",
+                static_cast<unsigned long long>(i));
   return r;
 }
 
@@ -196,17 +221,6 @@ TEST(TracerTest, SpanWithoutAmbientContextIsInert) {
   EXPECT_EQ(FlightRecorder::Default().total_recorded(), before);
 }
 
-TEST(TracerTest, RuntimeDisableMakesSpansInert) {
-  Tracer::set_enabled(false);
-  const int64_t before = FlightRecorder::Default().total_recorded();
-  {
-    ScopedSpan span("test.disabled", "test", Tracer::Root(0xd15ab1e));
-    EXPECT_FALSE(span.active());
-  }
-  Tracer::set_enabled(true);
-  EXPECT_EQ(FlightRecorder::Default().total_recorded(), before);
-}
-
 TEST(TracerTest, AmbientNestingLinksChildToInnermostSpan) {
   constexpr uint64_t kTrace = 0xa111;
   uint64_t root_id = 0;
@@ -316,6 +330,131 @@ TEST(TracerTest, DetailTruncatesAndExtraArgsAreDropped) {
     EXPECT_STREQ(r.arg2_name, "b");
     EXPECT_EQ(r.arg2_value, 2);
   }
+}
+
+TEST(FlightRecorderTest, ConcurrentSnapshotsSeeWholeRecords) {
+  // A torn copy (payload from two different writes) disagrees with
+  // Derived(trace_id). The ring is small so the writer laps the reader.
+  FlightRecorder recorder(64);
+  std::atomic<bool> done{false};
+  std::thread writer([&recorder, &done] {
+    for (uint64_t i = 1; i <= 200000; ++i) recorder.Record(Derived(i));
+    done.store(true);
+  });
+  int64_t checked = 0;
+  int64_t torn = 0;
+  while (!done.load()) {
+    for (const SpanRecord& r : recorder.Snapshot()) {
+      const SpanRecord want = Derived(r.trace_id);
+      torn += r.span_id != want.span_id || r.sim_end != want.sim_end ||
+              std::strcmp(r.detail, want.detail) != 0;
+      ++checked;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0) << "of " << checked << " records read concurrently";
+}
+
+TEST(TracerTest, OverflowSpanDoesNotPopParentFrame) {
+  // Fill the 32-deep ambient stack, then open and close one span past it:
+  // the overflow span never pushed, so it must not pop its parent's frame.
+  std::vector<std::unique_ptr<ScopedSpan>> open;
+  open.push_back(std::make_unique<ScopedSpan>("test.root", "test",
+                                              Tracer::Root(0xa555)));
+  while (open.size() < 32) {
+    open.push_back(std::make_unique<ScopedSpan>("test.nested", "test"));
+  }
+  const uint64_t innermost = open.back()->context().span_id;
+  { ScopedSpan overflow("test.overflow", "test"); }
+  EXPECT_EQ(Tracer::Current().span_id, innermost);
+  while (!open.empty()) open.pop_back();  // LIFO close
+  EXPECT_FALSE(Tracer::Current().valid());
+}
+
+TEST(TracerSinkTest, WallAndFtSinksFireWithoutTraceContext) {
+  MetricRegistry registry;
+  Histogram* wall = registry.GetHistogram("imcf_test_span_ns", "help",
+                                          LatencyBoundsNs());
+  double ft_seconds = 0.0;
+  const int64_t recorded = FlightRecorder::Default().total_recorded();
+  {
+    ScopedSpan span("test.timed", "test",
+                    {.wall_ns = wall, .wall_seconds = &ft_seconds});
+    EXPECT_FALSE(span.active());  // no trace context: nothing recorded
+    SpinNs(1000);
+    EXPECT_EQ(wall->count(), 0);  // nothing observed until scope exit
+  }
+  EXPECT_EQ(FlightRecorder::Default().total_recorded(), recorded);
+  EXPECT_EQ(wall->count(), 1);
+  EXPECT_GE(wall->sum(), 1000.0);
+  EXPECT_DOUBLE_EQ(ft_seconds * 1e9, wall->sum());  // one clock pair
+}
+
+TEST(TracerSinkTest, SimSecondsSinkObservesBoundClockDelta) {
+  MetricRegistry registry;
+  Histogram* sim = registry.GetHistogram("imcf_test_sim_seconds", "help",
+                                         {60.0, 3600.0, 86400.0});
+  int64_t sim_clock = 1000;
+  {
+    ScopedSpan span("test.advance", "test", {.sim_seconds = sim});
+    span.BindSimClock(&sim_clock);
+    sim_clock += 3600;  // the span advances the simulation by one hour
+  }
+  ASSERT_EQ(sim->count(), 1);
+  EXPECT_DOUBLE_EQ(sim->sum(), 3600.0);
+  EXPECT_EQ(sim->bucket_count(1), 1);  // le="3600"
+}
+
+TEST(TracerSinkTest, NullSinksAreSafe) {
+  MetricRegistry registry;
+  Histogram* sim = registry.GetHistogram("imcf_test_unbound_seconds", "help",
+                                         {60.0});
+  int64_t sim_clock = 0;
+  { ScopedSpan span("test.none", "test", SpanSinks{}); }
+  {
+    ScopedSpan span("test.null_sim", "test", {.sim_seconds = nullptr});
+    span.BindSimClock(&sim_clock);
+  }
+  { ScopedSpan span("test.unbound", "test", {.sim_seconds = sim}); }
+  EXPECT_EQ(sim->count(), 0);  // never bound to a clock: never observed
+  // A phase span with no ambient cost scope charges nobody.
+  ASSERT_EQ(AmbientCost(), nullptr);
+  { ScopedSpan span("test.phase", "test", {.phase = CostPhase::kPlan}); }
+}
+
+TEST(TracerSinkTest, NestedPhaseSpansChargeSelfTime) {
+  // An outer kSim span, a non-phase span, and two kPlan spans inside: the
+  // outer span is charged its duration minus the kPlan spans', each kPlan
+  // span its own duration — the partition the recorded stamps give.
+  constexpr uint64_t kTrace = 0xa777;
+  CostLedger ledger(1);
+  const std::string tenant = "tenant";
+  {
+    ScopedCost cost(&ledger, 0, tenant);
+    ScopedSpan root("test.root", "test", Tracer::Root(kTrace));
+    ScopedSpan outer("test.sim", "test", {.phase = CostPhase::kSim});
+    SpinNs(2000);
+    {
+      ScopedSpan slot("test.slot", "test");  // not a phase span
+      SpinNs(2000);
+      ScopedSpan first("test.plan1", "test", {.phase = CostPhase::kPlan});
+      SpinNs(2000);
+    }
+    ScopedSpan second("test.plan2", "test", {.phase = CostPhase::kPlan});
+    SpinNs(2000);
+  }
+  std::map<std::string, int64_t> ns;  // recorded wall duration by name
+  for (const SpanRecord& r : FlightRecorder::Default().Snapshot()) {
+    if (r.trace_id == kTrace) ns[r.name] = r.wall_end_ns - r.wall_start_ns;
+  }
+  const int64_t plan_ns = ns["test.plan1"] + ns["test.plan2"];
+  const TenantCost charged = ledger.Snapshot().at(0).cost;
+  EXPECT_EQ(charged.phase_ns[static_cast<size_t>(CostPhase::kPlan)],
+            plan_ns);
+  EXPECT_EQ(charged.phase_ns[static_cast<size_t>(CostPhase::kSim)],
+            ns["test.sim"] - plan_ns);
+  EXPECT_GE(plan_ns, 4000);
+  EXPECT_GE(ns["test.sim"] - plan_ns, 4000);  // outer + slot spins
 }
 
 }  // namespace

@@ -147,7 +147,6 @@ TEST(ConflictAdmissionTest, ConflictingMrtUpdateIsRejectedNotApplied) {
   plan.plan.policy = sim::Policy::kEnergyPlanner;
   EXPECT_EQ((*service)->Call(plan, now).outcome, ServeOutcome::kOk);
 
-#if IMCF_ACCOUNTING_ENABLED
   // The veto is charged as a conflict rejection, NEVER as applied work.
   for (const obs::CostLedger::Row& row :
        (*service)->cost_ledger().Snapshot()) {
@@ -156,7 +155,6 @@ TEST(ConflictAdmissionTest, ConflictingMrtUpdateIsRejectedNotApplied) {
     EXPECT_EQ(row.cost.mrt_updates_ok, 0);
     EXPECT_EQ(row.cost.plans_ok, 1);  // only the explicit plan above
   }
-#endif
 }
 
 TEST(ConflictAdmissionTest, AcceptedMrtUpdateSwapsRuleSetAndIsCharged) {
@@ -181,7 +179,6 @@ TEST(ConflictAdmissionTest, AcceptedMrtUpdateSwapsRuleSetAndIsCharged) {
   plan.issue_time = now;
   EXPECT_EQ((*service)->Call(plan, now).outcome, ServeOutcome::kOk);
 
-#if IMCF_ACCOUNTING_ENABLED
   for (const obs::CostLedger::Row& row :
        (*service)->cost_ledger().Snapshot()) {
     if (row.tenant != "a") continue;
@@ -189,7 +186,6 @@ TEST(ConflictAdmissionTest, AcceptedMrtUpdateSwapsRuleSetAndIsCharged) {
     EXPECT_EQ(row.cost.conflict_rejections, 0);
     EXPECT_EQ(row.cost.plans_ok, 1);
   }
-#endif
 }
 
 TEST(ConflictAdmissionTest, ContextQueryMirrorsDataflowPolicy) {

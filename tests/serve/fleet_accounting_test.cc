@@ -1,7 +1,8 @@
 // Fleet cost-attribution and SLO integration: the ledger's deterministic
 // fields must be bit-identical at 1/4/8 workers (the accounting extension
 // of the fleet determinism contract), phases must land where the work
-// happened, and drains must feed the SLO windows.
+// happened — charged by the very spans that time them — and drains must
+// feed the SLO windows.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 
 #include "common/strings.h"
 #include "obs/accounting/cost_ledger.h"
+#include "obs/flight_recorder.h"
 #include "obs/slo/slo_engine.h"
+#include "obs/tracer.h"
 #include "serve/fleet_service.h"
 #include "trace/dataset.h"
 
@@ -71,8 +74,6 @@ void SubmitWorkload(FleetService& service, SimTime start) {
   doomed.deadline = start + 1;  // expires before the drain below
   EXPECT_FALSE(service.Submit(std::move(doomed)).has_value());
 }
-
-#if IMCF_ACCOUNTING_ENABLED
 
 std::string LedgerWitness(int workers) {
   auto service = MakeFleet(workers);
@@ -201,21 +202,73 @@ TEST(FleetAccountingTest, TenantNotFoundChargesNoRow) {
   }
 }
 
-#else  // !IMCF_ACCOUNTING_ENABLED
-
-TEST(FleetAccountingTest, DisabledBuildKeepsLedgerEmpty) {
-  auto service = MakeFleet(2);
-  ASSERT_TRUE(service.ok());
-  const SimTime start = trace::EvaluationStart();
-  SubmitWorkload(**service, start);
-  (void)(*service)->Drain(start + kSecondsPerHour);
-  EXPECT_TRUE((*service)->cost_ledger().Snapshot().empty());
-  EXPECT_TRUE(
-      (*service)->slo_engine().Evaluate((*service)->last_drain_time())
-          .empty());
+/// Sums the self time of every phase span in `records` by the phase it
+/// charges: its duration, minus it again at its nearest phase ancestor.
+std::map<obs::CostPhase, int64_t> SelfTimeByPhase(
+    const std::vector<obs::SpanRecord>& records) {
+  static const std::map<std::string, obs::CostPhase> kPhaseOf = {
+      {"sim.run", obs::CostPhase::kSim},
+      {"ep.search", obs::CostPhase::kPlan},
+      {"conflict.admission", obs::CostPhase::kConflict},
+      {"bus.deliver", obs::CostPhase::kCommandBus}};
+  std::map<uint64_t, const obs::SpanRecord*> by_id;
+  for (const obs::SpanRecord& r : records) by_id[r.span_id] = &r;
+  std::map<obs::CostPhase, int64_t> self;
+  for (const obs::SpanRecord& r : records) {
+    auto phase = kPhaseOf.find(r.name);
+    if (phase == kPhaseOf.end()) continue;
+    const int64_t ns = r.wall_end_ns - r.wall_start_ns;
+    self[phase->second] += ns;
+    for (auto up = by_id.find(r.parent_span_id); up != by_id.end();
+         up = by_id.find(up->second->parent_span_id)) {
+      auto parent_phase = kPhaseOf.find(up->second->name);
+      if (parent_phase == kPhaseOf.end()) continue;
+      self[parent_phase->second] -= ns;
+      break;
+    }
+  }
+  return self;
 }
 
-#endif  // IMCF_ACCOUNTING_ENABLED
+TEST(FleetAccountingTest, PhaseNsEqualsSpanSelfTime) {
+  // One traced admission, EP plan (a Simulator::Run) and fault-injected
+  // command. Each ledger phase is charged by the closing spans themselves,
+  // so it equals their recorded self times to the nanosecond.
+  obs::FlightRecorder::Default().Clear();
+  FleetOptions options;
+  options.fault = fault::FaultOptions::UniformRate(0.5, /*seed=*/3);
+  auto service = MakeFleet(1, options);  // untraced: records nothing
+  ASSERT_TRUE(service.ok());
+  const TenantConfig config = ConfigAt(kTenants);
+  {
+    obs::ScopedSpan admit("test.admit", "test", obs::Tracer::Root(0xad));
+    ASSERT_TRUE((*service)->AddTenant(config).ok());
+  }
+  const SimTime start = trace::EvaluationStart();
+  for (RequestKind kind : {RequestKind::kPlan, RequestKind::kCommand}) {
+    Request request;
+    request.tenant = config.id;
+    request.kind = kind;
+    request.issue_time = start;
+    request.plan.policy = sim::Policy::kEnergyPlanner;
+    EXPECT_EQ((*service)->Call(std::move(request), start).outcome,
+              ServeOutcome::kOk);
+  }
+  obs::TenantCost charged;
+  for (const obs::CostLedger::Row& row :
+       (*service)->cost_ledger().Snapshot()) {
+    if (row.tenant == config.id) charged = row.cost;
+  }
+  std::map<obs::CostPhase, int64_t> self =
+      SelfTimeByPhase(obs::FlightRecorder::Default().Snapshot());
+  for (obs::CostPhase phase :
+       {obs::CostPhase::kPlan, obs::CostPhase::kSim,
+        obs::CostPhase::kCommandBus, obs::CostPhase::kConflict}) {
+    EXPECT_GT(self[phase], 0) << obs::CostPhaseName(phase);
+    EXPECT_EQ(charged.phase_ns[static_cast<size_t>(phase)], self[phase])
+        << obs::CostPhaseName(phase);
+  }
+}
 
 TEST(FleetIntrospectionTest, StatusServerServesFleetPages) {
   FleetOptions options;

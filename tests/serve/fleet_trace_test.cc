@@ -72,9 +72,6 @@ std::string CanonicalAt(int workers) {
 }
 
 TEST(FleetTraceTest, CanonicalSpanTreesIdenticalAtOneFourEightWorkers) {
-#if !IMCF_TRACING_ENABLED
-  GTEST_SKIP() << "tracing compiled out (IMCF_DISABLE_TRACING)";
-#endif
   const std::string serial = CanonicalAt(1);
   // The serial tree must show real structure before comparing: request
   // roots, the enqueue->drain handoff, planner search and the planted
@@ -91,9 +88,6 @@ TEST(FleetTraceTest, CanonicalSpanTreesIdenticalAtOneFourEightWorkers) {
 }
 
 TEST(FleetTraceTest, DumpTraceWritesPerfettoLoadableJson) {
-#if !IMCF_TRACING_ENABLED
-  GTEST_SKIP() << "tracing compiled out (IMCF_DISABLE_TRACING)";
-#endif
   obs::FlightRecorder::Default().Clear();
   FleetOptions options;
   options.workers = 2;
