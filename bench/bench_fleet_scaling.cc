@@ -107,8 +107,10 @@ DrainTiming TimedDrain(serve::FleetService& service, int tenants,
 }
 
 /// Times a cold drain on a fresh service, then a warm drain of the same
-/// plans. The cold one includes each new worker's first touch of its heap
-/// and flight-recorder ring; the warm one is the steady-state number.
+/// plans. The cold one includes the fresh service's first touch of its
+/// heap (its pool's helpers reuse the flight-recorder rings that earlier
+/// cells' exited helpers retired); the warm one is the steady-state
+/// number.
 CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
   serve::FleetOptions options;
   options.shards = 8;

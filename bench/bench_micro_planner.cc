@@ -128,7 +128,7 @@ BENCHMARK(BM_PlanSlotHillClimbing)->Arg(6)->Arg(24)->Arg(64)->Arg(120)->Arg(600)
 void BM_PlanSlot(benchmark::State& state) { BM_PlanSlotHillClimbing(state); }
 BENCHMARK(BM_PlanSlot)->Arg(64);
 
-// Parallel planning substrate: `state.range(0)` worker threads plan 64
+// Parallel planning substrate: a pool of `state.range(0)` executors plans 64
 // independent 64-rule slot problems per iteration (one evaluator per task —
 // the evaluator's incremental cache is thread-local by construction). Near-
 // linear wall-clock scaling up to the core count is the acceptance target;
@@ -140,19 +140,16 @@ void BM_PlanSlotParallel(benchmark::State& state) {
   std::vector<core::SlotProblem> problems;
   problems.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) problems.push_back(MakeProblem(64, 0.1));
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
+  ThreadPool pool(static_cast<int>(state.range(0)));
   core::HillClimbingPlanner planner;
   std::vector<double> errors(kTasks, 0.0);
   for (auto _ : state) {
-    ParallelFor(threads > 1 ? &pool : nullptr, kTasks,
-                [&problems, &planner, &errors](int i) {
-                  const core::SlotEvaluator evaluator(
-                      &problems[static_cast<size_t>(i)]);
-                  Rng rng(MixHash(kSeed, static_cast<uint64_t>(i)));
-                  errors[static_cast<size_t>(i)] =
-                      planner.PlanSlot(evaluator, &rng).objectives.error_sum;
-                });
+    pool.ParallelFor(kTasks, [&problems, &planner, &errors](int i) {
+      const core::SlotEvaluator evaluator(&problems[static_cast<size_t>(i)]);
+      Rng rng(MixHash(kSeed, static_cast<uint64_t>(i)));
+      errors[static_cast<size_t>(i)] =
+          planner.PlanSlot(evaluator, &rng).objectives.error_sum;
+    });
     benchmark::DoNotOptimize(errors.data());
   }
   state.SetItemsProcessed(state.iterations() * kTasks);

@@ -210,9 +210,19 @@ void CheckOk(const Status& status) {
   }
 }
 
+namespace {
+
+/// The one pool every cell of a bench process fans out on.
+ThreadPool& BenchPool() {
+  static ThreadPool pool(BenchThreads());
+  return pool;
+}
+
+}  // namespace
+
 sim::RepeatedReport RunCell(const sim::Simulator& simulator,
                             sim::Policy policy) {
-  auto result = simulator.RunRepeated(policy, Repetitions(), BenchThreads());
+  auto result = simulator.RunRepeated(policy, Repetitions(), &BenchPool());
   CheckOk(result.status());
   return std::move(result).value();
 }
@@ -220,7 +230,7 @@ sim::RepeatedReport RunCell(const sim::Simulator& simulator,
 std::vector<sim::RepeatedReport> RunCells(
     const sim::Simulator& simulator,
     const std::vector<sim::Policy>& policies) {
-  auto result = simulator.RunGrid(policies, Repetitions(), BenchThreads());
+  auto result = simulator.RunGrid(policies, Repetitions(), &BenchPool());
   CheckOk(result.status());
   return std::move(result).value();
 }

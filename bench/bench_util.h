@@ -82,8 +82,8 @@ int Repetitions();
 /// dataset for smoke runs.
 bool QuickMode();
 
-/// Worker threads for fanning repetitions/cells out (env
-/// IMCF_BENCH_THREADS; default: hardware concurrency). Results are
+/// Executors of the one pool the process fans repetitions/cells out on
+/// (env IMCF_BENCH_THREADS; default: hardware concurrency). Results are
 /// bit-identical for every thread count; only the F_T timing columns are
 /// measurements and thus vary. Set to 1 for uncontended F_T numbers.
 int BenchThreads();

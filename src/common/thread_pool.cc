@@ -1,8 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <utility>
 
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
@@ -13,33 +11,26 @@ namespace imcf {
 
 namespace {
 
-/// Pool instrumentation, resolved once. Queue depth is a gauge (rises on
-/// Submit, falls on dequeue); wait and run latencies are histograms in
-/// wall nanoseconds; tasks_total counts completed tasks.
+/// Pool instrumentation, resolved once. tasks_total counts items run;
+/// task_wait_ns is a helper's wake latency, from a call's dispatch to the
+/// helper joining its claim loop.
 struct PoolMetrics {
   obs::Counter* tasks_total;
   obs::Counter* task_exceptions_total;
-  obs::Gauge* queue_depth;
   obs::Histogram* task_wait_ns;
-  obs::Histogram* task_run_ns;
 
   static const PoolMetrics& Get() {
     static const PoolMetrics* m = [] {
       auto& reg = obs::MetricRegistry::Default();
       auto* pm = new PoolMetrics();
       pm->tasks_total = reg.GetCounter("imcf_pool_tasks_total",
-                                       "Tasks executed by the thread pool");
+                                       "Items run by ParallelFor");
       pm->task_exceptions_total = reg.GetCounter(
           "imcf_pool_task_exceptions_total",
-          "Tasks that threw; the exception was swallowed by the worker");
-      pm->queue_depth = reg.GetGauge("imcf_pool_queue_depth",
-                                     "Tasks currently queued (not running)");
+          "Items whose body threw; the exception was caught and counted");
       pm->task_wait_ns = reg.GetHistogram(
           "imcf_pool_task_wait_ns",
-          "Wall time a task spent queued before a worker picked it up",
-          obs::LatencyBoundsNs());
-      pm->task_run_ns = reg.GetHistogram(
-          "imcf_pool_task_run_ns", "Wall time a task spent executing",
+          "Wall time from a ParallelFor dispatch to a helper joining it",
           obs::LatencyBoundsNs());
       return pm;
     }();
@@ -49,49 +40,27 @@ struct PoolMetrics {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) {
-  if (threads <= 0) threads = HardwareThreads();
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] {
+ThreadPool::ThreadPool(int workers) {
+  if (workers <= 0) workers = HardwareThreads();
+  helpers_.reserve(static_cast<size_t>(workers - 1));
+  for (int i = 0; i < workers - 1; ++i) {
+    helpers_.emplace_back([this, i] {
       // Registering the name before any span gives the flight recorder a
-      // labeled lane for this worker (/tracez, Perfetto thread_name).
+      // labeled lane for this helper (/tracez, Perfetto thread_name).
       obs::FlightRecorder::Default().SetCurrentThreadName(
           StrFormat("pool-%d", i));
-      WorkerLoop();
+      HelperLoop();
     });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  work_available_.notify_all();
-  // joinable() guards against a worker that failed to start and against a
-  // second pass over already-joined threads; clearing afterwards makes the
-  // teardown idempotent.
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shutdown_) return;
-    queue_.push(QueuedTask{std::move(task), obs::NowNs()});
-    ++in_flight_;
-  }
-  PoolMetrics::Get().queue_depth->Add(1.0);
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
+  wake_.notify_all();
+  for (std::thread& helper : helpers_) helper.join();
 }
 
 int ThreadPool::HardwareThreads() {
@@ -99,80 +68,68 @@ int ThreadPool::HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::WorkerLoop() {
-  const PoolMetrics& metrics = PoolMetrics::Get();
+void ThreadPool::ParallelFor(int n, const std::function<void(int)>& body) {
+  std::lock_guard<std::mutex> call(call_mu_);
+  int wake = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    body_ = &body;
+    n_ = n;
+    next_.store(0, std::memory_order_relaxed);
+    ++call_;
+    wake = std::clamp(n - 1, 0, static_cast<int>(helpers_.size()));
+    openings_ = wake;
+    dispatch_ns_ = wake > 0 ? obs::NowNs() : 0;
+  }
+  for (int w = 0; w < wake; ++w) wake_.notify_one();
+  ClaimItems(body, n);
+  // `body` lives in the caller's frame: admit no more helpers, and return
+  // only once every helper has left this call's claim loop.
+  std::unique_lock<std::mutex> lock(mu_);
+  openings_ = 0;
+  left_.wait(lock, [this] { return active_ == 0; });
+}
+
+void ThreadPool::HelperLoop() {
+  uint64_t last_call = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    QueuedTask task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(lock,
-                           [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    const int64_t dequeue_ns = obs::NowNs();
-    metrics.queue_depth->Add(-1.0);
-    metrics.task_wait_ns->Observe(
-        static_cast<double>(dequeue_ns - task.enqueue_ns));
-    // A throwing task must neither take down the worker (std::terminate)
-    // nor leak its in_flight_ slot (which would wedge Wait() forever).
+    wake_.wait(lock, [this, &last_call] {
+      return shutdown_ || (openings_ > 0 && call_ != last_call);
+    });
+    if (shutdown_) return;
+    last_call = call_;
+    --openings_;
+    ++active_;
+    const std::function<void(int)>& body = *body_;
+    const int n = n_;
+    const int64_t dispatch_ns = dispatch_ns_;
+    lock.unlock();
+    PoolMetrics::Get().task_wait_ns->Observe(
+        static_cast<double>(obs::NowNs() - dispatch_ns));
+    ClaimItems(body, n);
+    lock.lock();
+    if (--active_ == 0) left_.notify_one();
+  }
+}
+
+void ThreadPool::ClaimItems(const std::function<void(int)>& body, int n) {
+  const PoolMetrics& metrics = PoolMetrics::Get();
+  int64_t ran = 0;
+  // Items are claimed one at a time so an expensive item (a dorms-scale
+  // run) doesn't serialize a whole static stripe behind it.
+  for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    // Isolate each item: a throwing body must not take the claim loop
+    // (and every item it would still have picked up) down with it.
     try {
-      task.fn();
+      body(i);
     } catch (...) {
       metrics.task_exceptions_total->Increment();
     }
-    metrics.task_run_ns->Observe(
-        static_cast<double>(obs::NowNs() - dequeue_ns));
-    metrics.tasks_total->Increment();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
+    ++ran;
   }
-}
-
-void ParallelFor(int threads, int n, const std::function<void(int)>& body) {
-  if (n <= 0) return;
-  if (threads <= 0) threads = ThreadPool::HardwareThreads();
-  if (threads > n) threads = n;
-  if (threads <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // Dynamic chunking over a shared counter: items are claimed one at a time
-  // so an expensive item (a dorms-scale simulation run) doesn't serialize a
-  // whole static stripe behind it. Each item still writes only to its own
-  // index, so scheduling order never shows in the results.
-  ThreadPool pool(threads);
-  ParallelFor(&pool, n, body);
-}
-
-void ParallelFor(ThreadPool* pool, int n,
-                 const std::function<void(int)>& body) {
-  if (n <= 0) return;
-  if (pool == nullptr || pool->thread_count() <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) body(i);
-    return;
-  }
-  const int claimers = std::min(pool->thread_count(), n);
-  std::atomic<int> next{0};
-  for (int w = 0; w < claimers; ++w) {
-    pool->Submit([&body, &next, n] {
-      for (int i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        // Isolate each item: a throwing body must not take the claiming
-        // loop (and with it every item this claimer would still have
-        // picked up) down with it.
-        try {
-          body(i);
-        } catch (...) {
-          PoolMetrics::Get().task_exceptions_total->Increment();
-        }
-      }
-    });
-  }
-  pool->Wait();
+  if (ran > 0) metrics.tasks_total->Increment(ran);
 }
 
 }  // namespace imcf

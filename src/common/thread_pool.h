@@ -1,88 +1,82 @@
-// Fixed-size worker pool for deterministic fan-out of independent work.
+// Fork-join worker pool for deterministic fan-out of independent work.
 //
 // IMCF's simulation workload decomposes into embarrassingly-parallel items —
-// (policy, dataset-replica, repetition) cells and independent slot problems —
-// that share no mutable state. The pool runs a classic work queue over a
-// fixed set of worker threads; ParallelFor partitions an index range so the
-// result slot of each item is fixed by its index, never by scheduling order.
+// (policy, dataset-replica, repetition) cells and per-tenant drain units —
+// that share no mutable state. The pool's one operation, ParallelFor, hands
+// the indices of a range to the calling thread and to the pool's helper
+// threads through one shared counter; the result slot of each item is
+// fixed by its index, never by scheduling order.
 //
-// Determinism contract: tasks must derive any randomness from their index
-// (e.g. Rng(MixHash(seed, task_index))) and write only to per-index output
-// slots. Under that contract a ParallelFor over n items produces bit-identical
-// results for any thread count, including the serial threads==1 path, which
-// runs inline without touching a thread.
+// Determinism contract: items must derive any randomness from their index
+// (e.g. Rng(MixHash(seed, item_index))) and write only to per-index output
+// slots. Under that contract a ParallelFor over n items produces
+// bit-identical results for every executor count, including the serial
+// one-executor pool, where the caller claims every item in index order.
 
 #ifndef IMCF_COMMON_THREAD_POOL_H_
 #define IMCF_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace imcf {
 
-/// Fixed pool of worker threads consuming a FIFO work queue. Threads start
-/// in the constructor and join in the destructor; Submit after shutdown is
-/// a programming error (the task is silently dropped). A task that throws
-/// does not kill its worker or wedge Wait(): the exception is swallowed and
-/// counted (imcf_pool_task_exceptions_total) — report failures through the
-/// task's output slot instead of throwing.
+/// A fixed set of executors for fork-join loops: the thread that calls
+/// ParallelFor plus `workers - 1` helper threads, which start in the
+/// constructor and join in the destructor. The owner keeps one pool for
+/// its lifetime, so a process has a fixed set of threads (and of
+/// flight-recorder rings).
 class ThreadPool {
  public:
-  /// Creates `threads` workers. `threads <= 0` selects the hardware
-  /// concurrency (at least 1).
-  explicit ThreadPool(int threads = 0);
+  /// A pool of `workers` executors. `workers <= 0` selects the hardware
+  /// concurrency; `workers == 1` starts no thread.
+  explicit ThreadPool(int workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues one task. Tasks run in FIFO dequeue order but complete in
-  /// arbitrary order; synchronize through Wait() or per-slot outputs.
-  void Submit(std::function<void()> task);
+  /// Runs body(i) for every i in [0, n) and returns when all have run.
+  /// The caller and up to min(workers - 1, n - 1) woken helpers claim
+  /// items one at a time from a shared counter. An exception from `body`
+  /// is caught per item and counted (imcf_pool_task_exceptions_total) on
+  /// every executor, the caller included, and the remaining items still
+  /// run: report failures through per-index output slots. Concurrent
+  /// callers take turns; `body` must not call ParallelFor on this pool.
+  void ParallelFor(int n, const std::function<void(int)>& body);
 
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
+  /// Executors per ParallelFor call: the caller plus the helpers.
+  int workers() const { return static_cast<int>(helpers_.size()) + 1; }
 
-  int thread_count() const { return static_cast<int>(workers_.size()); }
-
-  /// Number of worker threads the hardware supports (>= 1).
+  /// Number of threads the hardware supports (>= 1).
   static int HardwareThreads();
 
  private:
-  /// Queued task plus its enqueue timestamp, so dequeue can observe how
-  /// long the task sat in the queue (imcf_pool_task_wait_ns).
-  struct QueuedTask {
-    std::function<void()> fn;
-    int64_t enqueue_ns = 0;
-  };
+  void HelperLoop();
+  /// Claims and runs items of the current call until the range is spent.
+  void ClaimItems(const std::function<void(int)>& body, int n);
 
-  void WorkerLoop();
+  std::mutex call_mu_;  ///< one ParallelFor call at a time
 
-  std::mutex mu_;
-  std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::queue<QueuedTask> queue_;
-  std::vector<std::thread> workers_;
-  int in_flight_ = 0;  // queued + executing tasks
+  std::mutex mu_;  ///< guards the call state below
+  std::condition_variable wake_;
+  std::condition_variable left_;
+  const std::function<void(int)>* body_ = nullptr;
+  int n_ = 0;
+  uint64_t call_ = 0;     ///< id of the current call
+  int openings_ = 0;      ///< helpers the current call may still admit
+  int active_ = 0;        ///< helpers inside the current call's claim loop
+  int64_t dispatch_ns_ = 0;
   bool shutdown_ = false;
+  std::atomic<int> next_{0};  ///< next unclaimed item of the current call
+
+  std::vector<std::thread> helpers_;
 };
-
-/// Runs body(i) for every i in [0, n) across up to `threads` workers.
-/// `threads <= 1` (or n <= 1) executes inline on the caller's thread in
-/// index order — the serial reference path (where exceptions propagate to
-/// the caller as usual). On worker threads an exception from `body` is
-/// swallowed and counted, and the remaining items still run; report
-/// failures through per-index output slots (e.g. a Result<T> per item).
-void ParallelFor(int threads, int n, const std::function<void(int)>& body);
-
-/// ParallelFor over an existing pool (amortizes thread startup across many
-/// loops, e.g. benchmark iterations). `pool == nullptr` runs inline.
-void ParallelFor(ThreadPool* pool, int n, const std::function<void(int)>& body);
 
 }  // namespace imcf
 

@@ -79,6 +79,27 @@ struct FlightRecorder::Ring {
   const int thread_index;
   std::string name;  ///< writer's registered name; guarded by recorder mu_
   std::atomic<uint64_t> head{0};  ///< next write position (monotonic)
+  /// Set by the writer's exit; cleared, under the recorder's mu_, by the
+  /// thread that reuses the ring.
+  std::atomic<bool> retired{false};
+};
+
+/// The calling thread's rings, one per recorder it has written to. Its
+/// destructor runs at thread exit and retires each of them. Recorder
+/// instance ids are never reused, so an entry for a destroyed recorder
+/// simply never matches again; it holds that ring until the thread exits.
+struct FlightRecorder::ThreadRings {
+  struct Entry {
+    uint64_t instance_id;
+    std::shared_ptr<Ring> ring;
+  };
+  std::vector<Entry> entries;
+
+  ~ThreadRings() {
+    for (const Entry& entry : entries) {
+      entry.ring->retired.store(true, std::memory_order_release);
+    }
+  }
 };
 
 FlightRecorder& FlightRecorder::Default() {
@@ -94,28 +115,30 @@ FlightRecorder::FlightRecorder(size_t capacity)
 FlightRecorder::~FlightRecorder() = default;
 
 FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  // Per-thread cache of (recorder instance id -> ring). Instance ids are
-  // never reused, so a cached entry for a destroyed recorder simply never
-  // matches again; the vector stays tiny (one entry per recorder this
-  // thread has written to).
-  struct CacheEntry {
-    uint64_t instance_id;
-    Ring* ring;
-  };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& entry : cache) {
-    if (entry.instance_id == instance_id_) return entry.ring;
+  thread_local ThreadRings mine;
+  for (const ThreadRings::Entry& entry : mine.entries) {
+    if (entry.instance_id == instance_id_) return entry.ring.get();
   }
-  Ring* ring = nullptr;
+  std::shared_ptr<Ring> ring;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rings_.push_back(std::make_unique<Ring>(
-        capacity_, static_cast<int>(rings_.size())));
-    ring = rings_.back().get();
+    for (const auto& candidate : rings_) {
+      // Acquire pairs with the exited writer's release, so its last slot
+      // stores happen before this thread's first.
+      if (candidate->retired.load(std::memory_order_acquire)) {
+        ring = candidate;
+        ring->retired.store(false, std::memory_order_relaxed);
+        break;
+      }
+    }
+    if (ring == nullptr) {
+      ring = std::make_shared<Ring>(capacity_, static_cast<int>(rings_.size()));
+      rings_.push_back(ring);
+    }
     ring->name = CurrentThreadNameSlot();
   }
-  cache.push_back(CacheEntry{instance_id_, ring});
-  return ring;
+  mine.entries.push_back(ThreadRings::Entry{instance_id_, ring});
+  return ring.get();
 }
 
 void FlightRecorder::SetCurrentThreadName(const std::string& name) {

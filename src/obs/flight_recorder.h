@@ -8,7 +8,11 @@
 //     `capacity` slots (default 8192, env IMCF_TRACE_RING). New spans
 //     overwrite the oldest (head-tail overwrite), so steady-state cost is
 //     bounded no matter how long the service runs — exactly a black-box
-//     flight recorder, dumpable after the fact.
+//     flight recorder, dumpable after the fact. A thread that exits
+//     retires its ring and the next new writer thread reuses it, so the
+//     ring count follows the peak number of live writers, not thread
+//     churn. A retired ring's spans stay readable until the reuser
+//     overwrites them.
 //   * Lock-free writers. A thread's ring is single-producer: recording a
 //     span is a handful of release stores (plain moves on x86) bracketed
 //     by a per-slot sequence number (seqlock), never a mutex. Writers on
@@ -54,8 +58,9 @@ struct SpanRecord {
   int64_t sim_start = 0;
   int64_t sim_end = 0;
   int thread_index = 0;  ///< ring index, stable per writer thread
-  /// Registered name of the writer thread ("" when it never named itself;
-  /// see SetCurrentThreadName). Filled in by Snapshot, not stored per slot.
+  /// Registered name of the ring's current writer thread ("" when it never
+  /// named itself; see SetCurrentThreadName). Filled in by Snapshot, not
+  /// stored per slot.
   std::string thread_name;
   const char* arg_name = nullptr;  ///< optional numeric annotations
   int64_t arg_value = 0;
@@ -89,7 +94,7 @@ class FlightRecorder {
   /// Applies to this recorder's ring immediately (creating it if needed)
   /// and is remembered thread-locally, so rings this thread later creates
   /// in OTHER recorder instances inherit the name too. Typically called
-  /// once at thread start (the thread pool names its workers).
+  /// once at thread start (the thread pool names its helpers).
   void SetCurrentThreadName(const std::string& name);
 
   /// Registered writer names indexed by SpanRecord::thread_index ("" for
@@ -110,19 +115,23 @@ class FlightRecorder {
   /// Spans ever recorded (monotonic; exceeds capacity once rings wrap).
   int64_t total_recorded() const;
 
-  /// Writer threads that have recorded at least one span.
+  /// Rings allocated so far, live or retired: at most the peak number of
+  /// writer threads alive at once.
   size_t ring_count() const;
 
  private:
   struct Slot;
   struct Ring;
+  struct ThreadRings;
 
   Ring* RingForThisThread();
 
   const uint64_t instance_id_;  ///< keys the thread-local ring cache
   size_t capacity_;             ///< power of two
-  mutable std::mutex mu_;       ///< guards rings_ enumeration only
-  std::vector<std::unique_ptr<Ring>> rings_;
+  mutable std::mutex mu_;       ///< guards rings_ enumeration and reuse
+  /// Shared with each writer thread's ThreadRings, which retires the ring
+  /// at thread exit even when this recorder has already been destroyed.
+  std::vector<std::shared_ptr<Ring>> rings_;
 };
 
 }  // namespace obs

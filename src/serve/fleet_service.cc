@@ -80,10 +80,12 @@ uint64_t ServeTraceId(uint64_t request_id) {
 }  // namespace
 
 FleetService::FleetService(FleetOptions options)
-    : options_(std::move(options)), fault_plan_(options_.fault) {
+    : options_(std::move(options)),
+      pool_(options_.workers),
+      fault_plan_(options_.fault) {
   if (options_.shards < 1) options_.shards = 1;
   if (options_.queue_capacity < 1) options_.queue_capacity = 1;
-  if (options_.workers <= 0) options_.workers = ThreadPool::HardwareThreads();
+  options_.workers = pool_.workers();
   registry_ = std::make_unique<TenantRegistry>(options_.shards,
                                                options_.fault,
                                                options_.retry);
@@ -106,10 +108,6 @@ FleetService::FleetService(FleetOptions options)
         reg.GetHistogram("imcf_serve_queue_wait_ns",
                          "Wall time requests spent queued, by shard",
                          obs::LatencyBoundsNs(), labels));
-  }
-  // workers == 1 keeps the serial reference path (ParallelFor runs inline).
-  if (options_.workers > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.workers);
   }
 }
 
@@ -455,9 +453,9 @@ std::vector<Response> FleetService::Drain(SimTime now) {
             });
 
   // 3. One execution unit per tenant: a unit runs its tenant's items in
-  // that order on one worker, so each request sees the effects of the ones
-  // before it (an MRT update is in force for the plan after it), and no
-  // two workers contend for one tenant. ParallelFor's dynamic claiming
+  // that order on one executor, so each request sees the effects of the
+  // ones before it (an MRT update is in force for the plan after it), and
+  // no two executors contend for one tenant. ParallelFor's dynamic claiming
   // balances the units. Each item writes only its own response slot.
   std::vector<size_t> unit_begin;
   for (size_t i = 0; i < items.size(); ++i) {
@@ -468,7 +466,7 @@ std::vector<Response> FleetService::Drain(SimTime now) {
   unit_begin.push_back(items.size());
   const int n_units = static_cast<int>(unit_begin.size()) - 1;
   std::vector<Response> responses(items.size());
-  ParallelFor(pool_.get(), n_units, [&](int u) {
+  pool_.ParallelFor(n_units, [&](int u) {
     const size_t end = unit_begin[static_cast<size_t>(u) + 1];
     for (size_t i = unit_begin[static_cast<size_t>(u)]; i < end; ++i) {
       responses[i] = Execute(items[i], now);

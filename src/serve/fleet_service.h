@@ -12,8 +12,10 @@
 //   Drain(now)               — scheduling: queued requests are grouped
 //                              into one execution unit per tenant, ordered
 //                              deadline-first within it, and the units fan
-//                              out on the worker pool. A unit runs on one
-//                              worker, so each request sees the effects of
+//                              out on the service's pool, whose executors
+//                              are the draining thread and the pool's
+//                              helpers. A unit runs on one executor, so
+//                              each request sees the effects of
 //                              the tenant's earlier ones. Deadlines are
 //                              checked against the drain's virtual `now`.
 //                              Responses come back sorted by request id.
@@ -58,8 +60,9 @@ namespace serve {
 struct FleetOptions {
   /// Tenant-registry shards (mutex stripes); also the queue stripes.
   int shards = 8;
-  /// Worker threads draining the queues. 1 is the serial reference path
-  /// (no pool is constructed); 0 selects the hardware concurrency.
+  /// Executors per drain: the draining thread plus `workers - 1` pool
+  /// helpers. 1 is the serial reference path (the pool starts no thread);
+  /// 0 selects the hardware concurrency.
   int workers = 1;
   /// Bounded queue capacity per shard; a submit beyond it is shed.
   int queue_capacity = 64;
@@ -233,7 +236,7 @@ class FleetService {
   FleetOptions options_;
   std::unique_ptr<TenantRegistry> registry_;
   std::unique_ptr<TableStore> store_;      // null without persistence
-  std::unique_ptr<ThreadPool> pool_;       // null when workers == 1
+  ThreadPool pool_;                        // options_.workers executors
   fault::FaultPlan fault_plan_;
   std::unique_ptr<obs::CostLedger> cost_ledger_;  // always non-null
   std::unique_ptr<obs::SloEngine> slo_;           // always non-null

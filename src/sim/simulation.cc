@@ -685,24 +685,25 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
 }
 
 Result<RepeatedReport> Simulator::RunRepeated(Policy policy, int repetitions,
-                                              int threads) const {
+                                              ThreadPool* pool) const {
   IMCF_ASSIGN_OR_RETURN(std::vector<RepeatedReport> grid,
-                        RunGrid({policy}, repetitions, threads));
+                        RunGrid({policy}, repetitions, pool));
   return std::move(grid[0]);
 }
 
 Result<std::vector<RepeatedReport>> Simulator::RunGrid(
-    const std::vector<Policy>& policies, int repetitions, int threads) const {
+    const std::vector<Policy>& policies, int repetitions,
+    ThreadPool* pool) const {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare() before RunGrid()");
   }
-  if (threads == 0) threads = options_.threads;
+  ThreadPool caller_only(1);  // starts no thread
+  if (pool == nullptr) pool = &caller_only;
 
   // Fan the (policy, repetition) grid out as independent work items. Each
   // item derives its random streams from its own (policy, rep) coordinates
   // — never from a shared generator — and writes only to its own slot, so
-  // the grid is bit-identical for every thread count (including the inline
-  // threads==1 path of ParallelFor).
+  // the grid is bit-identical for every executor count.
   const int n_cells = static_cast<int>(policies.size()) * repetitions;
   std::vector<std::optional<Result<SimulationReport>>> cells(
       static_cast<size_t>(n_cells));
@@ -713,7 +714,7 @@ Result<std::vector<RepeatedReport>> Simulator::RunGrid(
       obs::DurationBoundsSeconds());
   static obs::Counter* const cells_total = reg.GetCounter(
       "imcf_sim_cells_total", "Simulation grid cells executed");
-  ParallelFor(threads, n_cells, [this, &policies, repetitions, &cells](int i) {
+  pool->ParallelFor(n_cells, [this, &policies, repetitions, &cells](int i) {
     const Policy policy = policies[static_cast<size_t>(i / repetitions)];
     const int rep = i % repetitions;
     // Each grid cell is a trace root with an id derived from its index, so
@@ -741,11 +742,17 @@ Result<std::vector<RepeatedReport>> Simulator::RunGrid(
     agg.dataset = options_.spec.name;
     agg.policy = PolicyName(policies[p]);
     for (int rep = 0; rep < repetitions; ++rep) {
-      Result<SimulationReport>& cell =
-          *cells[p * static_cast<size_t>(repetitions) +
-                 static_cast<size_t>(rep)];
-      IMCF_RETURN_IF_ERROR(cell.status());
-      const SimulationReport& report = *cell;
+      const size_t index =
+          p * static_cast<size_t>(repetitions) + static_cast<size_t>(rep);
+      const std::optional<Result<SimulationReport>>& cell = cells[index];
+      // The pool catches a throwing cell, which leaves its slot empty.
+      if (!cell.has_value()) {
+        return Status::Internal(StrFormat("grid cell %zu (%s, rep %d) threw",
+                                          index, PolicyName(policies[p]),
+                                          rep));
+      }
+      IMCF_RETURN_IF_ERROR(cell->status());
+      const SimulationReport& report = **cell;
       RunningStat fce, fe, ft, co2;
       fce.Add(report.fce_pct);
       fe.Add(report.fe_kwh);

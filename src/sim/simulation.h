@@ -25,6 +25,7 @@
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "core/annealer.h"
 #include "core/baselines.h"
 #include "core/genetic.h"
@@ -106,13 +107,6 @@ struct SimulationOptions {
   /// loop (e.g. to install deny rules for accounting tests).
   std::function<void(firewall::Chain*)> chain_setup;
   uint64_t seed = 1;                ///< master seed (MRT variation, planner)
-  /// Worker threads for fanning out independent repetitions in
-  /// RunRepeated. 1 (the default) keeps the serial reference path; 0
-  /// selects the hardware concurrency. Every repetition derives its random
-  /// streams from MixHash(seed, rep, policy) and is aggregated in
-  /// repetition order, so results are bit-identical for every thread
-  /// count (see DESIGN.md §Concurrency).
-  int threads = 1;
 };
 
 /// Results of one simulation run.
@@ -158,27 +152,28 @@ class Simulator {
 
   /// Runs one policy once. `rep` seeds the per-repetition random streams.
   /// `arena` backs the per-slot evaluator tables (reset before every slot);
-  /// batched callers (fleet drain, cloud controller) lend one arena across
-  /// many runs so evaluator construction stops allocating after warm-up.
-  /// Null uses a run-local arena.
+  /// the cloud controller lends one arena across its many runs so evaluator
+  /// construction stops allocating after warm-up. Null uses a run-local
+  /// arena.
   Result<SimulationReport> Run(Policy policy, int rep = 0,
                                core::PlanArena* arena = nullptr) const;
 
   /// Runs `repetitions` independent runs (the paper uses ten). Repetitions
-  /// fan out across `threads` workers (0 selects options().threads; 1 is
-  /// the inline serial path); per-repetition seeding makes the aggregate
-  /// bit-identical for every thread count.
+  /// fan out across `pool`'s executors (null runs them on the calling
+  /// thread); per-repetition seeding makes the aggregate bit-identical for
+  /// every executor count.
   Result<RepeatedReport> RunRepeated(Policy policy, int repetitions,
-                                     int threads = 0) const;
+                                     ThreadPool* pool = nullptr) const;
 
   /// Runs every (policy, repetition) cell of `policies`, fanning the whole
-  /// grid out across `threads` workers. Returns one RepeatedReport per
-  /// policy, in the order given. Equivalent to calling RunRepeated per
-  /// policy; the flat grid keeps all cores busy when some policies are much
-  /// cheaper than others.
+  /// grid out across `pool`'s executors (null runs it on the calling
+  /// thread). Returns one RepeatedReport per policy, in the order given.
+  /// Equivalent to calling RunRepeated per policy; the flat grid keeps all
+  /// cores busy when some policies are much cheaper than others. A cell
+  /// that throws fails the grid with Status::Internal naming the cell.
   Result<std::vector<RepeatedReport>> RunGrid(
       const std::vector<Policy>& policies, int repetitions,
-      int threads = 0) const;
+      ThreadPool* pool = nullptr) const;
 
   /// Re-tunes the EP/SA parameters between runs (Figs. 7/8 sweeps reuse
   /// one prepared simulator).

@@ -147,7 +147,8 @@ TEST(LoggingTest, ConcurrentLoggingDeliversEveryLine) {
   constexpr int kTasks = 32;
   {
     ScopedSink scoped(&capture);
-    ParallelFor(4, kTasks, [](int i) {
+    ThreadPool pool(4);
+    pool.ParallelFor(kTasks, [](int i) {
       IMCF_LOG(kInfo) << "task " << i;
     });
   }

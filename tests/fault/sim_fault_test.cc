@@ -88,10 +88,9 @@ TEST(SimFaultTest, FaultRunsInvariantToThreadCount) {
   ASSERT_TRUE(simulator.Prepare().ok());
   const std::vector<Policy> policies = {Policy::kMetaRule,
                                         Policy::kEnergyPlanner};
-  const auto serial = simulator.RunGrid(policies, /*repetitions=*/3,
-                                        /*threads=*/1);
-  const auto parallel = simulator.RunGrid(policies, /*repetitions=*/3,
-                                          /*threads=*/4);
+  ThreadPool pool(4);
+  const auto serial = simulator.RunGrid(policies, /*repetitions=*/3);
+  const auto parallel = simulator.RunGrid(policies, /*repetitions=*/3, &pool);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(serial->size(), parallel->size());

@@ -47,7 +47,8 @@ TEST(CounterTest, ConcurrentIncrementsAreExact) {
   constexpr int kThreads = 8;
   constexpr int kTasks = 64;
   constexpr int kPerTask = 10000;
-  ParallelFor(kThreads, kTasks, [counter](int) {
+  ThreadPool pool(kThreads);
+  pool.ParallelFor(kTasks, [counter](int) {
     for (int i = 0; i < kPerTask; ++i) counter->Increment();
   });
   EXPECT_EQ(counter->value(),
@@ -61,7 +62,8 @@ TEST(GaugeTest, ConcurrentAddsAreExact) {
   constexpr int kPerTask = 1000;
   // +1 then -1 per iteration, plus one net +1 per task: the CAS loop must
   // lose no updates, so the final value is exactly kTasks.
-  ParallelFor(8, kTasks, [gauge](int) {
+  ThreadPool pool(8);
+  pool.ParallelFor(kTasks, [gauge](int) {
     for (int i = 0; i < kPerTask; ++i) {
       gauge->Add(1.0);
       gauge->Add(-1.0);
@@ -82,7 +84,8 @@ TEST(HistogramTest, ConcurrentObservationsAreExact) {
   // Every task observes the same integer sequence 1..4 plus one over-range
   // value; integer sums this small are exact in double, so both count and
   // sum must match exactly despite concurrent CAS adds.
-  ParallelFor(8, kTasks, [hist](int) {
+  ThreadPool pool(8);
+  pool.ParallelFor(kTasks, [hist](int) {
     for (int i = 0; i < kPerTask; ++i) {
       hist->Observe(1.0);
       hist->Observe(2.0);

@@ -355,6 +355,49 @@ TEST(FlightRecorderTest, ConcurrentSnapshotsSeeWholeRecords) {
   EXPECT_EQ(torn, 0) << "of " << checked << " records read concurrently";
 }
 
+// Writer threads that run one after another share one ring: each exiting
+// thread retires its ring and the next new writer reuses it. A retired
+// ring's spans stay readable, under the reusing thread's name.
+TEST(FlightRecorderTest, RingsAreReusedAfterWriterThreadsExit) {
+  constexpr uint64_t kTraceBase = 0x7e5e0000;
+  FlightRecorder& recorder = FlightRecorder::Default();
+  const size_t before = recorder.ring_count();
+  for (int t = 0; t < 128; ++t) {
+    std::thread writer([t] {
+      FlightRecorder::Default().SetCurrentThreadName(
+          "writer-" + std::to_string(t));
+      ScopedSpan span("test.reuse", "test",
+                      Tracer::Root(kTraceBase + static_cast<uint64_t>(t)));
+    });
+    writer.join();
+  }
+  EXPECT_LE(recorder.ring_count(), before + 2);
+
+  std::map<uint64_t, std::string> writer_of;
+  for (const SpanRecord& r : recorder.Snapshot()) {
+    if (r.trace_id >= kTraceBase && r.trace_id < kTraceBase + 128) {
+      writer_of[r.trace_id] = r.thread_name;
+    }
+  }
+  ASSERT_TRUE(writer_of.count(kTraceBase)) << "first writer's span is gone";
+  EXPECT_EQ(writer_of[kTraceBase], writer_of[kTraceBase + 127]);
+  EXPECT_EQ(writer_of[kTraceBase + 127], "writer-127");
+
+  // A recorder destroyed while its writer thread still runs: the thread's
+  // exit must retire the ring without touching the dead recorder.
+  std::atomic<int> phase{0};
+  auto local = std::make_unique<FlightRecorder>(64);
+  std::thread writer([&local, &phase] {
+    local->Record(MakeRecord(0x1, 1, 0, "s", "test"));
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  local.reset();
+  phase.store(2);
+  writer.join();
+}
+
 TEST(TracerTest, OverflowSpanDoesNotPopParentFrame) {
   // Fill the 32-deep ambient stack, then open and close one span past it:
   // the overflow span never pushed, so it must not pop its parent's frame.

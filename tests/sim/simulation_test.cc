@@ -1,6 +1,12 @@
 #include "sim/simulation.h"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "common/thread_pool.h"
+#include "obs/flight_recorder.h"
 
 namespace imcf {
 namespace sim {
@@ -177,12 +183,12 @@ TEST(SimulatorTest, ParallelRunRepeatedIsBitIdenticalToSerial) {
   options.hours = 30 * 24;  // keep 4 threads × reps affordable
   Simulator simulator(options);
   ASSERT_TRUE(simulator.Prepare().ok());
-  const auto serial = simulator.RunRepeated(Policy::kEnergyPlanner, 3,
-                                            /*threads=*/1);
+  const auto serial = simulator.RunRepeated(Policy::kEnergyPlanner, 3);
   ASSERT_TRUE(serial.ok());
-  for (int threads : {2, 4}) {
+  for (int workers : {2, 4}) {
+    ThreadPool pool(workers);
     const auto parallel =
-        simulator.RunRepeated(Policy::kEnergyPlanner, 3, threads);
+        simulator.RunRepeated(Policy::kEnergyPlanner, 3, &pool);
     ASSERT_TRUE(parallel.ok());
     EXPECT_DOUBLE_EQ(parallel->fce_pct.mean(), serial->fce_pct.mean());
     EXPECT_DOUBLE_EQ(parallel->fce_pct.stddev(), serial->fce_pct.stddev());
@@ -199,17 +205,58 @@ TEST(SimulatorTest, RunGridMatchesPerPolicyRuns) {
   ASSERT_TRUE(simulator.Prepare().ok());
   const std::vector<Policy> policies = {Policy::kNoRule, Policy::kMetaRule,
                                         Policy::kEnergyPlanner};
-  const auto grid = simulator.RunGrid(policies, 2, /*threads=*/4);
+  ThreadPool pool(4);
+  const auto grid = simulator.RunGrid(policies, 2, &pool);
   ASSERT_TRUE(grid.ok());
   ASSERT_EQ(grid->size(), 3u);
   for (size_t p = 0; p < policies.size(); ++p) {
-    const auto one = simulator.RunRepeated(policies[p], 2, /*threads=*/1);
+    const auto one = simulator.RunRepeated(policies[p], 2);
     ASSERT_TRUE(one.ok());
     EXPECT_EQ((*grid)[p].policy, one->policy);
     EXPECT_DOUBLE_EQ((*grid)[p].fce_pct.mean(), one->fce_pct.mean());
     EXPECT_DOUBLE_EQ((*grid)[p].fe_kwh.mean(), one->fe_kwh.mean());
     EXPECT_DOUBLE_EQ((*grid)[p].co2_kg.mean(), one->co2_kg.mean());
   }
+}
+
+// The pool catches a cell that throws and leaves its slot empty; the grid
+// must then fail the same way at every executor count, never aggregate
+// the empty slot.
+TEST(SimulatorTest, ThrowingCellFailsGridAtEveryWorkerCount) {
+  SimulationOptions options = TightFlat();
+  options.hours = 7 * 24;
+  options.chain_setup = [](firewall::Chain*) {
+    throw std::runtime_error("injected");
+  };
+  Simulator simulator(options);
+  ASSERT_TRUE(simulator.Prepare().ok());
+  for (int workers : {1, 4}) {
+    ThreadPool pool(workers);
+    const auto grid = simulator.RunGrid({Policy::kNoRule}, 4, &pool);
+    ASSERT_FALSE(grid.ok()) << workers << " executors";
+    EXPECT_EQ(grid.status().code(), StatusCode::kInternal);
+    EXPECT_NE(grid.status().message().find("grid cell 0 (NR, rep 0)"),
+              std::string::npos)
+        << grid.status().ToString();
+  }
+}
+
+// The caller's pool is the grid's only source of threads, so repeated
+// grids add no flight-recorder rings beyond the pool's own helpers.
+TEST(SimulatorTest, RepeatedGridsOnOnePoolAddNoRings) {
+  SimulationOptions options = TightFlat();
+  options.hours = 2 * 24;
+  Simulator simulator(options);
+  ASSERT_TRUE(simulator.Prepare().ok());
+  const std::vector<Policy> policies = {Policy::kNoRule, Policy::kMetaRule};
+  // A serial grid first, so the calling thread's own ring already exists.
+  ASSERT_TRUE(simulator.RunGrid(policies, 1).ok());
+  const size_t before = obs::FlightRecorder::Default().ring_count();
+  ThreadPool pool(4);
+  for (int call = 0; call < 50; ++call) {
+    ASSERT_TRUE(simulator.RunGrid(policies, 4, &pool).ok());
+  }
+  EXPECT_LE(obs::FlightRecorder::Default().ring_count(), before + 3);
 }
 
 TEST(SimulatorTest, VariedDatasetsHaveConflictsUnderMr) {
