@@ -3,13 +3,16 @@
 // Drives synthetic plan traffic across a {tenant count} x {worker threads}
 // grid and reports throughput (plans/sec) and end-to-end wall latency (p50 /
 // p99) of a warm drain, the same for the cold first drain of a fresh
-// service, and the shed rate of a deliberately undersized admission queue.
+// service (and, as its own row, for the process's very first drain), and
+// the shed rate of a deliberately undersized admission queue.
 // Plan outcomes are bit-identical across worker counts (the serve
 // determinism contract); only the timing columns are measurements.
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -59,7 +62,6 @@ struct CellResult {
   /// measurement; the rest are deterministic int64 sums (the compare_bench
   /// exact columns), identical across worker counts.
   double cpu_ns_total = 0.0;
-  int64_t arena_bytes = 0;
   int64_t flip_evals = 0;
   int64_t plans_ok = 0;
 };
@@ -106,22 +108,33 @@ DrainTiming TimedDrain(serve::FleetService& service, int tenants,
   return timing;
 }
 
-/// Times a cold drain on a fresh service, then a warm drain of the same
-/// plans. The cold one includes the fresh service's first touch of its
-/// heap (its pool's helpers reuse the flight-recorder rings that earlier
-/// cells' exited helpers retired); the warm one is the steady-state
-/// number.
-CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
+/// A fresh service with `tenants` tenants and room for every plan.
+std::unique_ptr<serve::FleetService> FreshService(int tenants, int workers,
+                                                  int hours,
+                                                  int plans_per_tenant) {
   serve::FleetOptions options;
   options.shards = 8;
   options.workers = workers;
   options.queue_capacity = tenants * plans_per_tenant;  // no shedding here
   auto service_or = serve::FleetService::Create(options);
   bench::CheckOk(service_or.status());
-  serve::FleetService& service = **service_or;
+  std::unique_ptr<serve::FleetService> service = std::move(*service_or);
   for (int i = 0; i < tenants; ++i) {
-    bench::CheckOk(service.AddTenant(TenantAt(i, hours)));
+    bench::CheckOk(service->AddTenant(TenantAt(i, hours)));
   }
+  return service;
+}
+
+/// Times a cold drain on a fresh service, then a warm drain of the same
+/// plans. The cold one includes the fresh service's first touch of its
+/// heap (its pool's helpers reuse the flight-recorder rings that earlier
+/// cells' exited helpers retired); the warm one is the steady-state
+/// number. What only the process's first drain pays is timed separately
+/// (main's `process_first` row), so no cell carries it.
+CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
+  std::unique_ptr<serve::FleetService> service_ptr =
+      FreshService(tenants, workers, hours, plans_per_tenant);
+  serve::FleetService& service = *service_ptr;
 
   CellResult result;
   double cold_fe_sum_kwh = 0.0;
@@ -138,7 +151,6 @@ CellResult RunCell(int tenants, int workers, int hours, int plans_per_tenant) {
   for (const obs::CostLedger::Row& ledger_row :
        service.cost_ledger().Snapshot()) {
     result.cpu_ns_total += static_cast<double>(ledger_row.cost.total_ns());
-    result.arena_bytes += ledger_row.cost.arena_bytes;
     result.flip_evals += ledger_row.cost.flip_evals;
     result.plans_ok += ledger_row.cost.plans_ok;
   }
@@ -241,22 +253,43 @@ int main() {
   const int hours = quick ? 24 : 24 * 7;
   const int plans_per_tenant = 2;
 
-  std::printf("%-22s %12s %10s %10s %14s %10s %12s %10s %12s\n", "cell",
+  // The process's first drain, on a fresh one-worker service of the first
+  // cell's shape, before any cell runs: whatever the process pays once
+  // lands here instead of in the first cell's cold row.
+  {
+    const int tenants = tenant_counts.front();
+    std::unique_ptr<serve::FleetService> service =
+        FreshService(tenants, /*workers=*/1, hours, plans_per_tenant);
+    double fe_sum_kwh = 0.0;
+    const DrainTiming first =
+        TimedDrain(*service, tenants, plans_per_tenant, &fe_sum_kwh);
+    const std::string row =
+        StrFormat("tenants=%d,workers=1,process_first", tenants);
+    std::printf("%-36s cold %s plans/sec (p50 %s ms, p99 %s ms)\n\n",
+                row.c_str(),
+                report.Scalar("cold", row, "plans_per_sec",
+                              first.plans_per_sec, 1)
+                    .c_str(),
+                report.Scalar("cold", row, "p50_ms", first.p50_ms, 2).c_str(),
+                report.Scalar("cold", row, "p99_ms", first.p99_ms, 2).c_str());
+  }
+
+  std::printf("%-22s %12s %10s %10s %14s %10s %10s %12s\n", "cell",
               "plans/sec", "p50 ms", "p99 ms", "sum F_E kWh", "cpu ms",
-              "arena B", "flips", "cold pl/s");
+              "flips", "cold pl/s");
   for (int tenants : tenant_counts) {
     for (int workers : worker_counts) {
       const CellResult cell =
           RunCell(tenants, workers, hours, plans_per_tenant);
       const std::string row =
           StrFormat("tenants=%d,workers=%d", tenants, workers);
-      // The per-tenant cost ledger's deterministic columns (arena_bytes,
-      // flip_evals, plans_ok) land in the JSON as exact-match cells: any
+      // The per-tenant cost ledger's deterministic columns (flip_evals,
+      // plans_ok) land in the JSON as exact-match cells: any
       // cross-worker or cross-run difference is a determinism regression,
       // not drift (compare_bench.py treats them as exact). The unlabelled
       // sections are the warm drain; the `cold` section is the first one.
       std::printf(
-          "%-22s %12s %10s %10s %14s %10s %12s %10s %12s\n", row.c_str(),
+          "%-22s %12s %10s %10s %14s %10s %10s %12s\n", row.c_str(),
           report.Scalar("throughput", row, "plans_per_sec",
                         cell.warm.plans_per_sec, 1)
               .c_str(),
@@ -268,9 +301,6 @@ int main() {
               .c_str(),
           report.Scalar("tenant_cost", row, "cpu_ms", cell.cpu_ns_total / 1e6,
                         2)
-              .c_str(),
-          report.Scalar("tenant_cost", row, "arena_bytes",
-                        static_cast<double>(cell.arena_bytes), 0)
               .c_str(),
           report.Scalar("tenant_cost", row, "flip_evals",
                         static_cast<double>(cell.flip_evals), 0)

@@ -15,8 +15,8 @@ Understands two formats, auto-detected per file:
 An entry regresses when current > baseline * (1 + threshold); for
 throughput-like cells (units containing "/s" or named *plans_per_sec*)
 the comparison direction flips. Deterministic count cells — metrics named
-*_ok, *_bytes or *_evals, e.g. the fleet bench's per-tenant cost columns
-(tenant_cost/*/arena_bytes, flip_evals, plans_ok) — are compared EXACTLY:
+*_ok or *_evals, e.g. the fleet bench's per-tenant cost columns
+(tenant_cost/*/flip_evals, plans_ok) — are compared EXACTLY:
 they are integer sums guaranteed bit-identical across runs and worker
 counts, so any difference is a determinism break, not drift. Entries
 present on only one side are reported but never fail the run (benchmarks
@@ -33,7 +33,7 @@ import json
 import sys
 
 
-EXACT_METRIC_SUFFIXES = ("_ok", "_bytes", "_evals")
+EXACT_METRIC_SUFFIXES = ("_ok", "_evals")
 
 
 def is_exact_metric(metric):

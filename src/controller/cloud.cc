@@ -128,11 +128,10 @@ Status CloudMetaController::ForecastDemands() {
     }
     double demand = 0.0;
     IMCF_RETURN_IF_ERROR(
-        registry_->WithTenant(name, [&demand, this](serve::Tenant& tenant) {
+        registry_->WithTenant(name, [&demand](serve::Tenant& tenant) {
           IMCF_ASSIGN_OR_RETURN(
               sim::SimulationReport report,
-              tenant.simulator().Run(sim::Policy::kMetaRule, /*rep=*/0,
-                                     &plan_arena_));
+              tenant.simulator().Run(sim::Policy::kMetaRule, /*rep=*/0));
           demand = report.fe_kwh;
           return Status::Ok();
         }));
@@ -147,11 +146,11 @@ Result<sim::SimulationReport> CloudMetaController::RunHousehold(
   span.Detail(name);
   sim::SimulationReport report;
   IMCF_RETURN_IF_ERROR(registry_->WithTenant(
-      name, [allocation_kwh, &report, this](serve::Tenant& tenant) {
+      name, [allocation_kwh, &report](serve::Tenant& tenant) {
         IMCF_RETURN_IF_ERROR(tenant.simulator().SetBudget(allocation_kwh));
         IMCF_ASSIGN_OR_RETURN(
             report, tenant.simulator().Run(sim::Policy::kEnergyPlanner,
-                                           /*rep=*/0, &plan_arena_));
+                                           /*rep=*/0));
         return Status::Ok();
       }));
   return report;

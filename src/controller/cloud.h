@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "core/plan_arena.h"
 #include "fault/fault_plan.h"
 #include "fault/retry.h"
 #include "serve/tenant_registry.h"
@@ -160,10 +159,6 @@ class CloudMetaController {
   serve::TenantRegistry* registry_ = nullptr;
   std::vector<std::string> names_;  ///< community roster, insertion order
   std::map<std::string, double> demand_kwh_;  ///< MR forecast cache
-  /// Shared across every probe/household simulation the (single-threaded)
-  /// CMC runs: evaluator tables recycle arena blocks instead of
-  /// reallocating per slot per tenant.
-  core::PlanArena plan_arena_;
 };
 
 /// A small community of `n` flats with varied rule tables and ambient

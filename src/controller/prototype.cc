@@ -141,9 +141,6 @@ Result<PrototypeReport> PrototypeStudy::Run(
   }
   core::HillClimbingPlanner planner(options_.ep);
   Rng rng(options_.seed);
-  // Reused across cron invocations: after the first plan the evaluator
-  // tables are carved from retained arena blocks.
-  core::PlanArena plan_arena;
 
   // Per-resident error accounting (Table V).
   std::map<std::string, ResidentReport> per_user;
@@ -207,8 +204,7 @@ Result<PrototypeReport> PrototypeStudy::Run(
         }
         const double hourly = plan.HourlyBudget(midpoint);
         problem.budget_kwh = hourly + carry;
-        plan_arena.Reset();
-        const core::SlotEvaluator evaluator(&problem, &plan_arena);
+        const core::SlotEvaluator evaluator(&problem);
 
         static obs::Histogram* const plan_ns =
             obs::MetricRegistry::Default().GetHistogram(
@@ -252,16 +248,7 @@ Result<PrototypeReport> PrototypeStudy::Run(
           cmd.rule_id = rule.id;
           cmd.time = now;
           cmd.source = "mrt";
-          ++report.commands_issued;
-          const firewall::Decision decision = fw.Filter(cmd);
-          if (decision.verdict == firewall::Verdict::kDrop) {
-            ++report.commands_dropped;
-            if (decision.reason ==
-                firewall::DecisionReason::kDeviceUnavailable) {
-              ++report.commands_failed;
-            }
-            continue;
-          }
+          if (fw.Filter(cmd).verdict == firewall::Verdict::kDrop) continue;
           (void)items.ApplyCommand(cmd);
           const core::ActiveRule*& w =
               winner[static_cast<size_t>(active.group)];
@@ -298,6 +285,11 @@ Result<PrototypeReport> PrototypeStudy::Run(
       }));
 
   scheduler.AdvanceTo(end);
+
+  // The firewall saw every command the planner job issued.
+  report.commands_issued = fw.stats().total;
+  report.commands_dropped = fw.stats().dropped();
+  report.commands_failed = fw.stats().device_unavailable;
 
   report.fe_kwh = ledger.TotalConsumedKwh();
   report.fce_pct = activations > 0

@@ -28,51 +28,48 @@ double NormalizedError(devices::CommandType type, double desired,
 
 SlotEvaluator::SlotEvaluator(const SlotProblem* problem, PlanArena* arena)
     : problem_(problem) {
-  if (arena == nullptr) {
-    owned_arena_ = std::make_unique<PlanArena>();
-    arena = owned_arena_.get();
-  }
+  PlanArena& ws = arena != nullptr ? *arena : owned_arena_;
   n_rules_ = problem->n_rules;
   n_groups_ = static_cast<int32_t>(problem->groups.size());
   n_members_ = static_cast<int32_t>(problem->active.size());
+  const size_t n_groups = static_cast<size_t>(n_groups_);
+  const size_t n_members = static_cast<size_t>(n_members_);
 
-  int32_t* group_off = arena->AllocateArray<int32_t>(
-      static_cast<size_t>(n_groups_) + 1);
-  int32_t* member_rule =
-      arena->AllocateArray<int32_t>(static_cast<size_t>(n_members_));
-  int32_t* group_of_rule = arena->AllocateArray<int32_t>(
-      static_cast<size_t>(std::max(n_rules_, 1)));
-  double* contrib_energy = arena->AllocateArray<double>(
-      static_cast<size_t>(n_members_ + n_groups_));
-  double* contrib_error = arena->AllocateArray<double>(
-      static_cast<size_t>(n_members_ + n_groups_));
-  // Construction-only scratch: member position -> active-rule id. Lives in
-  // the arena like everything else; a few bytes of slack until Reset().
-  int32_t* member_active =
-      arena->AllocateArray<int32_t>(static_cast<size_t>(n_members_));
+  // A lent arena holds the previous build's contents: every column is
+  // either refilled here or fully overwritten below before it is read.
+  ws.group_off.assign(n_groups + 1, 0);
+  ws.member_rule.resize(n_members);
+  ws.group_of_rule.assign(static_cast<size_t>(std::max(n_rules_, 1)), -1);
+  ws.contrib_energy.resize(n_members + n_groups);
+  ws.contrib_error.resize(n_members + n_groups);
+  ws.winner_pos.resize(n_groups);
+  // mirror_size_ == -1: every group is stale until the first Evaluate.
+  ws.mirror.assign(
+      std::max<size_t>(static_cast<size_t>(n_rules_ + 63) / 64, 1), 0);
+  ws.member_active.resize(n_members);
 
-  std::fill(group_of_rule, group_of_rule + std::max(n_rules_, 1), -1);
+  int32_t* const group_off = ws.group_off.data();
+  int32_t* const member_rule = ws.member_rule.data();
+  int32_t* const group_of_rule = ws.group_of_rule.data();
+  double* const contrib_energy = ws.contrib_energy.data();
+  double* const contrib_error = ws.contrib_error.data();
+  int32_t* const member_active = ws.member_active.data();
 
   // CSR member columns via counting sort, then per-group ordering by
   // rule_index descending so winner scans early-exit at the first adopted
   // member.
-  std::fill(group_off, group_off + n_groups_ + 1, 0);
   for (const ActiveRule& rule : problem->active) {
     ++group_off[rule.group + 1];
   }
   for (int32_t g = 0; g < n_groups_; ++g) {
     group_off[g + 1] += group_off[g];
   }
-  {
-    // Temporary per-group write cursors (arena scratch, like the rest).
-    int32_t* cursor = arena->AllocateArray<int32_t>(
-        static_cast<size_t>(std::max<int32_t>(n_groups_, 1)));
-    std::copy(group_off, group_off + n_groups_, cursor);
-    for (size_t i = 0; i < problem->active.size(); ++i) {
-      const ActiveRule& rule = problem->active[i];
-      member_active[cursor[rule.group]++] = static_cast<int32_t>(i);
-      group_of_rule[rule.rule_index] = rule.group;
-    }
+  ws.cursor.assign(ws.group_off.begin(), ws.group_off.end() - 1);
+  for (size_t i = 0; i < problem->active.size(); ++i) {
+    const ActiveRule& rule = problem->active[i];
+    member_active[ws.cursor[static_cast<size_t>(rule.group)]++] =
+        static_cast<int32_t>(i);
+    group_of_rule[rule.rule_index] = rule.group;
   }
   for (int32_t g = 0; g < n_groups_; ++g) {
     std::sort(member_active + group_off[g], member_active + group_off[g + 1],
@@ -120,14 +117,8 @@ SlotEvaluator::SlotEvaluator(const SlotProblem* problem, PlanArena* arena)
   group_of_rule_ = group_of_rule;
   contrib_energy_ = contrib_energy;
   contrib_error_ = contrib_error;
-
-  winner_pos_ =
-      arena->AllocateArray<int32_t>(static_cast<size_t>(n_groups_));
-  const size_t mirror_words =
-      std::max<size_t>(static_cast<size_t>(n_rules_ + 63) / 64, 1);
-  mirror_ = arena->AllocateArray<uint64_t>(mirror_words);
-  std::memset(mirror_, 0, mirror_words * sizeof(uint64_t));
-  // mirror_size_ == -1: every group is stale until the first Evaluate.
+  winner_pos_ = ws.winner_pos.data();
+  mirror_ = ws.mirror.data();
 }
 
 SlotEvaluator::~SlotEvaluator() {

@@ -11,8 +11,8 @@
 // additive form of Eqs. (1)-(2).
 //
 // Layout: the group/member/contribution tables are flattened into
-// contiguous parallel columns allocated from a PlanArena, so the hot loops
-// are linear sweeps over packed memory:
+// contiguous parallel columns held in a PlanArena's vectors, so the hot
+// loops are linear sweeps over packed memory:
 //
 //   group_off_[g]..group_off_[g+1]   CSR range of group g's members
 //   member_rule_[m]                  rule_index of member m (descending
@@ -38,14 +38,13 @@
 //
 // Thread-safety: the incremental cache is internal mutable state, so an
 // evaluator instance must not be shared across threads. Construction is
-// cheap — the parallel simulation layer builds one evaluator per (thread,
-// slot) and never shares them.
+// cheap — the simulator builds one evaluator per slot on its run's arena
+// and never shares them.
 
 #ifndef IMCF_CORE_EVALUATOR_H_
 #define IMCF_CORE_EVALUATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "core/plan_arena.h"
@@ -55,9 +54,10 @@
 namespace imcf {
 namespace core {
 
-/// The slot-evaluation kernel. Borrowed-arena variant: all columns live in
-/// `*arena` and die at the caller's next arena Reset(); the evaluator itself
-/// holds no heap memory. Null arena gives the evaluator a private one.
+/// The slot-evaluation kernel. Its columns live in the vectors of a
+/// PlanArena: a lent one (refilled in place, keeping its capacity) or,
+/// when `arena` is null, one the evaluator owns. Building a second
+/// evaluator on a lent arena invalidates the first.
 class SlotEvaluator {
  public:
   /// Tally of the incremental cache's behaviour over this evaluator's
@@ -281,21 +281,22 @@ class SlotEvaluator {
   Objectives EvaluateFlippedFull(const Solution& s,
                                  std::span<const int> flips) const;
 
-  const SlotProblem* problem_;              // not owned
-  std::unique_ptr<PlanArena> owned_arena_;  // set when no arena was lent
+  const SlotProblem* problem_;  // not owned
+  PlanArena owned_arena_;       // the columns' home when none was lent
 
   int32_t n_rules_ = 0;
   int32_t n_groups_ = 0;
   int32_t n_members_ = 0;
 
-  // Immutable columns (arena storage, built once in the constructor).
+  // Immutable columns (arena vectors' data, filled once in the
+  // constructor).
   const int32_t* group_off_ = nullptr;      // [n_groups_ + 1]
   const int32_t* member_rule_ = nullptr;    // [n_members_]
   const int32_t* group_of_rule_ = nullptr;  // [max(n_rules_, 1)]
   const double* contrib_energy_ = nullptr;  // [n_members_ + n_groups_]
   const double* contrib_error_ = nullptr;   // [n_members_ + n_groups_]
 
-  // Incremental cache (arena storage, mutated in const methods; the
+  // Incremental cache (arena vectors' data, mutated in const methods; the
   // evaluator is single-threaded by contract).
   int32_t* winner_pos_ = nullptr;  // [n_groups_]
   uint64_t* mirror_ = nullptr;     // [ceil(n_rules_ / 64)]

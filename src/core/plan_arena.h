@@ -1,93 +1,43 @@
-// Bump allocator backing the planner's per-slot columnar state.
+// Reusable storage for the slot evaluator's columns.
 //
-// The slot evaluator flattens a SlotProblem into a handful of parallel
-// arrays whose lifetime is exactly one planning pass. Allocating them
-// individually costs a dozen heap round trips per slot and scatters the
-// columns across the heap; the arena packs them back to back in
-// cache-line-aligned blocks and recycles the blocks across slots via
-// Reset().
+// A SlotEvaluator flattens its SlotProblem into the parallel columns below
+// (their layout is documented in core/evaluator.h). Building an evaluator
+// on a lent PlanArena refills these vectors in place, so a caller that
+// plans slot after slot — Simulator::Run keeps one per run — reallocates
+// only when a slot outgrows every earlier one.
 //
-// Lifetime rules (see DESIGN.md §12):
-//  * An evaluator borrows the arena; it never outlives the memory. Reset()
-//    or destruction of the arena invalidates every evaluator built on it —
-//    callers reset once per slot, *before* constructing the slot's
-//    evaluators, and never mid-plan.
-//  * Reset() keeps the blocks, so a steady-state simulation performs zero
-//    allocations after the first slot warms the arena up.
-//  * Only trivially-destructible types may be placed in the arena; nothing
-//    is destroyed on Reset().
+// Lifetime rule: an evaluator points into the arena it was built on, so
+// building a second evaluator on the same arena invalidates the first, as
+// does destroying the arena. Thread-safety: none; one arena per thread.
 //
-// Thread-safety: none. One arena per thread, like the evaluators it backs.
+// The name "arena" and this header outlive the bump allocator they once
+// held because the wire benchmark (perfbench/) still includes the header,
+// constructs a PlanArena and lends it to Simulator::Run. Renaming the type
+// and dropping Run's parameter wait for a change to that benchmark.
 
 #ifndef IMCF_CORE_PLAN_ARENA_H_
 #define IMCF_CORE_PLAN_ARENA_H_
 
-#include <cstddef>
-#include <memory>
-#include <type_traits>
+#include <cstdint>
 #include <vector>
 
 namespace imcf {
 namespace core {
 
-/// Cache-line-aligned bump allocator with block recycling.
-class PlanArena {
- public:
-  /// Every allocation is aligned to this many bytes (one x86 cache line).
-  static constexpr size_t kAlignment = 64;
-
-  explicit PlanArena(size_t first_block_bytes = 16 * 1024);
-  ~PlanArena();
-
-  PlanArena(const PlanArena&) = delete;
-  PlanArena& operator=(const PlanArena&) = delete;
-
-  /// Returns `bytes` of uninitialized, kAlignment-aligned storage valid
-  /// until the next Reset() (or destruction). bytes == 0 yields a valid
-  /// non-null pointer.
-  void* AllocateBytes(size_t bytes);
-
-  /// Typed array allocation; the memory is uninitialized.
-  template <typename T>
-  T* AllocateArray(size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena memory is reclaimed without running destructors");
-    static_assert(alignof(T) <= kAlignment, "over-aligned type");
-    return static_cast<T*>(AllocateBytes(n * sizeof(T)));
-  }
-
-  /// Reclaims every allocation but keeps the blocks for reuse, so the next
-  /// fill performs no heap traffic until it outgrows the high-water mark.
-  void Reset();
-
-  /// Bytes handed out since the last Reset() (before alignment rounding).
-  size_t allocated_bytes() const { return allocated_bytes_; }
-  /// Largest allocated_bytes() ever observed.
-  size_t high_water_bytes() const { return high_water_bytes_; }
-  /// Bytes handed out over the arena's whole life — NOT reset by Reset().
-  /// Deltas of this counter attribute arena traffic to a unit of work
-  /// independently of how work is grouped into passes, which is what the
-  /// cost ledger's determinism contract needs (high_water_bytes depends on
-  /// batch composition; this does not).
-  size_t lifetime_allocated_bytes() const { return lifetime_allocated_bytes_; }
-  /// Blocks currently owned (retained across Reset()).
-  size_t block_count() const { return blocks_.size(); }
-
- private:
-  struct Block {
-    char* data = nullptr;  ///< kAlignment-aligned storage
-    size_t size = 0;
-    size_t used = 0;
-  };
-
-  /// Appends a block of at least `min_bytes`, growing geometrically.
-  Block& AddBlock(size_t min_bytes);
-
-  std::vector<Block> blocks_;
-  size_t current_ = 0;  ///< index of the block being bumped
-  size_t allocated_bytes_ = 0;
-  size_t high_water_bytes_ = 0;
-  size_t lifetime_allocated_bytes_ = 0;
+/// The evaluator's columns plus its construction scratch; contents are
+/// stale between builds and meaningful only to the evaluator built last.
+struct PlanArena {
+  std::vector<int32_t> group_off;
+  std::vector<int32_t> member_rule;
+  std::vector<int32_t> group_of_rule;
+  std::vector<double> contrib_energy;
+  std::vector<double> contrib_error;
+  std::vector<int32_t> winner_pos;
+  std::vector<uint64_t> mirror;
+  // Construction scratch: member position -> active-rule id, and the
+  // per-group write cursors of the counting sort.
+  std::vector<int32_t> member_active;
+  std::vector<int32_t> cursor;
 };
 
 }  // namespace core

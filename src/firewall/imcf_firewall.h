@@ -67,6 +67,9 @@ struct FirewallStats {
   int64_t device_unavailable = 0;
   /// Decisions per DecisionReason, indexed by the enum's value.
   int64_t by_reason[kNumDecisionReasons] = {};
+
+  /// Commands dropped for any reason (device_unavailable included).
+  int64_t dropped() const { return total - accepted; }
 };
 
 /// The firewall itself.

@@ -18,8 +18,6 @@ int64_t SortValue(const TenantCost& cost, CostSortKey key) {
   switch (key) {
     case CostSortKey::kCpu:
       return cost.total_ns();
-    case CostSortKey::kBytes:
-      return cost.arena_bytes;
     case CostSortKey::kPlans:
       return cost.plans_ok;
     case CostSortKey::kSheds:
@@ -48,7 +46,6 @@ const char* CostPhaseName(CostPhase phase) {
 
 TenantCost& TenantCost::operator+=(const TenantCost& other) {
   for (size_t i = 0; i < kNumCostPhases; ++i) phase_ns[i] += other.phase_ns[i];
-  arena_bytes += other.arena_bytes;
   flip_evals += other.flip_evals;
   plans_ok += other.plans_ok;
   commands_ok += other.commands_ok;
@@ -68,11 +65,11 @@ int64_t TenantCost::total_ns() const {
   return total;
 }
 
-CostSortKey ParseCostSortKey(const std::string& name) {
-  if (name == "bytes") return CostSortKey::kBytes;
+std::optional<CostSortKey> ParseCostSortKey(const std::string& name) {
+  if (name == "cpu") return CostSortKey::kCpu;
   if (name == "plans") return CostSortKey::kPlans;
   if (name == "sheds") return CostSortKey::kSheds;
-  return CostSortKey::kCpu;
+  return std::nullopt;
 }
 
 CostLedger::CostLedger(int shards) {
@@ -131,12 +128,11 @@ std::string CostLedger::CanonicalText() const {
   for (const Row& row : Snapshot()) {
     char line[320];
     std::snprintf(line, sizeof(line),
-                  "%s arena_bytes=%lld flip_evals=%lld plans_ok=%lld "
+                  "%s flip_evals=%lld plans_ok=%lld "
                   "commands_ok=%lld queries_ok=%lld mrt_updates_ok=%lld "
                   "errors=%lld sheds=%lld deadline_misses=%lld faults=%lld "
                   "conflict_rejections=%lld\n",
                   row.tenant.c_str(),
-                  static_cast<long long>(row.cost.arena_bytes),
                   static_cast<long long>(row.cost.flip_evals),
                   static_cast<long long>(row.cost.plans_ok),
                   static_cast<long long>(row.cost.commands_ok),
@@ -165,7 +161,6 @@ std::string CostLedger::ToJson(size_t k, CostSortKey key) const {
     }
     w.Key("total").Int(row.cost.total_ns());
     w.EndObject();
-    w.Key("arena_bytes").Int(row.cost.arena_bytes);
     w.Key("flip_evals").Int(row.cost.flip_evals);
     w.Key("plans_ok").Int(row.cost.plans_ok);
     w.Key("commands_ok").Int(row.cost.commands_ok);
@@ -205,10 +200,6 @@ ScopedCost::~ScopedCost() {
   g_ambient_cost = saved_ambient_;
   if (local_ == TenantCost{}) return;  // nothing accrued; skip the lock
   ledger_->Apply(shard_, *tenant_, local_);
-}
-
-void CostAddArenaBytes(int64_t bytes) {
-  if (TenantCost* sink = g_ambient_cost) sink->arena_bytes += bytes;
 }
 
 void CostAddFlipEvals(int64_t n) {

@@ -5,16 +5,16 @@
 // can answer the meta-control firewall's core arbitration question — which
 // *tenant* is consuming the shared budget — so the CostLedger attributes
 // every unit of work to its tenant: CPU nanoseconds by phase (queue wait,
-// plan search, simulation, command bus), PlanArena bytes, evaluator flip
-// evaluations, and outcome tallies (ok / error / shed / deadline / fault).
+// plan search, simulation, command bus), evaluator flip evaluations, and
+// outcome tallies (ok / error / shed / deadline / fault).
 //
 // Design rules, in the spirit of the rest of obs:
 //
 //   * Lock-cheap. A ScopedCost accumulates into plain (non-atomic) fields
 //     of a stack-local TenantCost and takes exactly one shard mutex at
 //     destruction to merge. Layers below the scope (the simulator, the
-//     evaluators, the arena) add through a thread-local pointer — one TLS
-//     read and a plain add, no atomics, no branches beyond a null check.
+//     evaluators) add through a thread-local pointer — one TLS read and a
+//     plain add, no atomics, no branches beyond a null check.
 //   * One clock. Phase nanoseconds are written by exactly two things: a
 //     closing obs::ScopedSpan with a SpanSinks::phase (its self time, see
 //     obs/tracer.h) and the drain's queue-wait observation. No call site
@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,6 @@ const char* CostPhaseName(CostPhase phase);
 /// and order-independent (all-int64 keeps merges bit-exact).
 struct TenantCost {
   int64_t phase_ns[kNumCostPhases] = {};  ///< wall measurements
-  int64_t arena_bytes = 0;     ///< PlanArena bytes allocated on behalf
   int64_t flip_evals = 0;      ///< evaluator flip/full evaluations
   int64_t plans_ok = 0;        ///< plan requests served successfully
   int64_t commands_ok = 0;     ///< commands delivered
@@ -80,13 +80,12 @@ struct TenantCost {
 /// Sort keys for the top-K ledger view (/tenantz?sort=...).
 enum class CostSortKey : uint8_t {
   kCpu = 0,    ///< total_ns, descending
-  kBytes = 1,  ///< arena_bytes, descending
-  kPlans = 2,  ///< plans_ok, descending
-  kSheds = 3,  ///< sheds + deadline_misses, descending
+  kPlans = 1,  ///< plans_ok, descending
+  kSheds = 2,  ///< sheds + deadline_misses, descending
 };
 
-/// Parses "cpu" | "bytes" | "plans" | "sheds" (defaults to kCpu).
-CostSortKey ParseCostSortKey(const std::string& name);
+/// Parses "cpu" | "plans" | "sheds"; nullopt for any other name.
+std::optional<CostSortKey> ParseCostSortKey(const std::string& name);
 
 /// The fleet-wide ledger: one sub-ledger per shard, each a mutex over a
 /// tenant->cost map. Writers touch only their tenant's shard; a snapshot
@@ -150,8 +149,8 @@ class CostLedger {
 //
 // A ScopedCost publishes its local TenantCost as the thread's ambient cost
 // sink; layers that know their cost but not their tenant (phase spans, the
-// evaluators' flip tallies, the arena) add through it — spans at close,
-// counts through the CostAdd* free functions. One scope per unit of tenant
+// evaluators' flip tallies) add through it — spans at close, counts
+// through the CostAdd* free functions. One scope per unit of tenant
 // work, opened where the tenant is known (TenantRegistry::WithTenant, the
 // cloud controller's coordination loop), flushed to the ledger exactly
 // once at destruction.
@@ -187,7 +186,6 @@ class ScopedCost {
 };
 
 /// Adds to the calling thread's ambient cost sink; no-ops without one.
-void CostAddArenaBytes(int64_t bytes);
 void CostAddFlipEvals(int64_t n);
 void CostAddFault(int64_t n = 1);
 

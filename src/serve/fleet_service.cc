@@ -676,13 +676,6 @@ void FleetService::CountResponse(const Response& response) {
     cost_ledger_->Apply(registry_->ShardOf(response.tenant), response.tenant,
                         delta);
   }
-  if (options_.per_tenant_metrics && !response.tenant.empty()) {
-    obs::MetricRegistry::Default()
-        .GetCounter("imcf_serve_tenant_responses_total",
-                    "Responses produced, by tenant",
-                    {{"tenant", response.tenant}})
-        ->Increment();
-  }
 }
 
 void FleetService::UpdateQueueDepthGauge() {

@@ -78,10 +78,6 @@ struct FleetOptions {
   /// plan's channels gate every tenant command the service delivers.
   fault::FaultOptions fault;
   fault::RetryPolicy retry;
-  /// Publish per-tenant counters labelled {tenant="<id>"}. Off by default:
-  /// the obs cardinality rules reserve labels for small closed sets, so
-  /// only fleets of bounded size should enable this.
-  bool per_tenant_metrics = false;
   /// Slow-request log threshold: an executed request whose wall latency
   /// meets or exceeds this logs one structured line with its collapsed
   /// span tree (including firewall verdict events). 0 disables.

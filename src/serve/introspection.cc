@@ -1,6 +1,7 @@
 #include "serve/introspection.h"
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,14 +60,8 @@ obs::HttpResponse BadRequest(const std::string& message) {
 
 /// Strict /tenantz parameter validation: a typo'd sort key or a garbage row
 /// cap gets a 400 with the valid forms spelled out, not a silently
-/// defaulted page the operator mistakes for the one they asked for.
-/// ParseCostSortKey / ParseK keep their lenient defaults for library
-/// callers; the strictness lives at the HTTP edge.
-bool ValidTenantzSort(const std::string& value) {
-  return value == "cpu" || value == "bytes" || value == "plans" ||
-         value == "sheds";
-}
-
+/// defaulted page the operator mistakes for the one they asked for. The
+/// sort key is checked by obs::ParseCostSortKey, which owns its names.
 bool ValidTenantzK(const std::string& value) {
   if (value.empty() || value.size() > 9) return false;  // bounded, no sign
   for (char c : value) {
@@ -90,11 +85,13 @@ void RegisterIntrospectionHandlers(obs::StatusServer* server,
     obs::CostSortKey key = obs::CostSortKey::kCpu;
     auto it = request.query.find("sort");
     if (it != request.query.end()) {
-      if (!ValidTenantzSort(it->second)) {
+      const std::optional<obs::CostSortKey> parsed =
+          obs::ParseCostSortKey(it->second);
+      if (!parsed.has_value()) {
         return BadRequest("bad sort parameter '" + it->second +
-                          "': want sort=cpu|bytes|plans|sheds");
+                          "': want sort=cpu|plans|sheds");
       }
-      key = obs::ParseCostSortKey(it->second);
+      key = *parsed;
     }
     auto kit = request.query.find("k");
     if (kit != request.query.end() && !ValidTenantzK(kit->second)) {

@@ -146,7 +146,7 @@ class TenantRegistry {
   /// during `fn`, so long work on one tenant never blocks its shard.
   /// When a cost ledger is attached, `fn` runs inside a ScopedCost charging
   /// (ShardOf(id), id) — the chokepoint that attributes everything below
-  /// (sim run, planner, evaluators, arena) to the tenant, for every caller
+  /// (sim run, planner, evaluators) to the tenant, for every caller
   /// at once: the fleet drain and the cloud controller alike.
   Status WithTenant(const TenantId& id,
                     const std::function<Status(Tenant&)>& fn);

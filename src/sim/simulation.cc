@@ -219,14 +219,11 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
       break;  // handled separately below
   }
 
-  // Evaluator tables are rebuilt per slot from this arena; a run-local one
-  // serves most callers, while a caller that runs many plans back to back
-  // (the wire benchmark) may lend one that is already warm.
+  // Every slot's evaluator refills this one arena, so its columns keep
+  // their capacity across the run; a caller that runs many plans back to
+  // back (the wire benchmark) may lend one that is already warm.
   core::PlanArena local_arena;
   core::PlanArena* const plan_arena = arena != nullptr ? arena : &local_arena;
-  // Arena traffic charged to the ambient cost scope is the lifetime-counter
-  // delta, independent of which arena served the run.
-  const size_t arena_bytes_before = plan_arena->lifetime_allocated_bytes();
 
   Rng rng(MixHash(MixHash(options_.seed, static_cast<uint64_t>(rep)),
                   static_cast<uint64_t>(policy)));
@@ -292,8 +289,8 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     obs::ScopedSpan slot_span("plan.slot", "sim");
     slot_span.SimSpan(slot_time,
                       slot_time + static_cast<SimTime>(span) * kSecondsPerHour);
-    const int64_t slot_issued_before = report.commands_issued;
-    const int64_t slot_dropped_before = report.commands_dropped;
+    const int64_t slot_issued_before = fw.stats().total;
+    const int64_t slot_dropped_before = fw.stats().dropped();
 
     // Hours of the slot a daily window covers (1 for hourly slots).
     auto overlap_hours = [&](const TimeWindow& window) {
@@ -380,9 +377,6 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     }
     problem.budget_kwh =
         options_.carryover ? slot_budget + carry : slot_budget;
-    // The arena reset frees the previous slot's tables in place; after the
-    // first slot, evaluator construction allocates nothing.
-    plan_arena->Reset();
     const core::SlotEvaluator evaluator(&problem, plan_arena);
 
     // --- Decision: plan (or evaluate recipes) and route commands through
@@ -412,14 +406,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
           cmd.value = *d.temperature;
           cmd.time = slot_time;
           cmd.source = "ifttt";
-          ++report.commands_issued;
-          const firewall::Decision decision = fw.Filter(cmd);
-          if (decision.verdict == firewall::Verdict::kDrop) {
-            ++report.commands_dropped;
-            if (decision.reason ==
-                firewall::DecisionReason::kDeviceUnavailable) {
-              ++report.commands_failed;
-            }
+          if (fw.Filter(cmd).verdict == firewall::Verdict::kDrop) {
             decisions[static_cast<size_t>(u)].temperature.reset();
           }
         }
@@ -430,14 +417,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
           cmd.value = *d.light;
           cmd.time = slot_time;
           cmd.source = "ifttt";
-          ++report.commands_issued;
-          const firewall::Decision decision = fw.Filter(cmd);
-          if (decision.verdict == firewall::Verdict::kDrop) {
-            ++report.commands_dropped;
-            if (decision.reason ==
-                firewall::DecisionReason::kDeviceUnavailable) {
-              ++report.commands_failed;
-            }
+          if (fw.Filter(cmd).verdict == firewall::Verdict::kDrop) {
             decisions[static_cast<size_t>(u)].light.reset();
           }
         }
@@ -485,15 +465,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
         cmd.rule_id = rule.id;
         cmd.time = slot_time;
         cmd.source = "mrt";
-        ++report.commands_issued;
-        const firewall::Decision decision = fw.Filter(cmd);
-        if (decision.verdict == firewall::Verdict::kDrop) {
-          ++report.commands_dropped;
-          if (decision.reason ==
-              firewall::DecisionReason::kDeviceUnavailable) {
-            ++report.commands_failed;
-          }
-        } else {
+        if (fw.Filter(cmd).verdict == firewall::Verdict::kAccept) {
           accepted[a] = 1;
         }
         if (outcome.solution.adopted(
@@ -523,24 +495,15 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
       cmd.rule_id = rule.id;
       cmd.time = slot_time;
       cmd.source = "mrt-necessity";
-      ++report.commands_issued;
-      const firewall::Decision decision = fw.Filter(cmd);
-      if (decision.verdict == firewall::Verdict::kDrop) {
-        ++report.commands_dropped;
-        if (decision.reason ==
-            firewall::DecisionReason::kDeviceUnavailable) {
-          ++report.commands_failed;
-        }
-      } else {
+      if (fw.Filter(cmd).verdict == firewall::Verdict::kAccept) {
         necessity_ok[ni] = 1;
       }
     }
 
     // Per-slot firewall verdict summary on the slot span (the per-drop
     // reasons are the fw.drop child events).
-    slot_span.Arg("cmd_issued", report.commands_issued - slot_issued_before);
-    slot_span.Arg("cmd_dropped",
-                  report.commands_dropped - slot_dropped_before);
+    slot_span.Arg("cmd_issued", fw.stats().total - slot_issued_before);
+    slot_span.Arg("cmd_dropped", fw.stats().dropped() - slot_dropped_before);
 
     // --- Execution and accounting, hour by hour against ground truth.
     // With hourly slots this coincides with the planning view; with
@@ -678,9 +641,11 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
           ? adopted_fraction_sum / static_cast<double>(slots_with_active)
           : 0.0;
   report.co2_kg = co2_g / 1000.0;
-
-  obs::CostAddArenaBytes(static_cast<int64_t>(
-      plan_arena->lifetime_allocated_bytes() - arena_bytes_before));
+  // The firewall saw every command this run issued.
+  const firewall::FirewallStats& fw_stats = fw.stats();
+  report.commands_issued = fw_stats.total;
+  report.commands_dropped = fw_stats.dropped();
+  report.commands_failed = fw_stats.device_unavailable;
   return report;
 }
 

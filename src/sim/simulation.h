@@ -151,10 +151,10 @@ class Simulator {
   Status Prepare();
 
   /// Runs one policy once. `rep` seeds the per-repetition random streams.
-  /// `arena` backs the per-slot evaluator tables (reset before every slot);
-  /// the cloud controller lends one arena across its many runs so evaluator
-  /// construction stops allocating after warm-up. Null uses a run-local
-  /// arena.
+  /// Every slot's evaluator refills one arena, so its columns keep their
+  /// capacity across the run. Null uses a run-local arena; the wire
+  /// benchmark lends one to time a warm arena against a cold one (the
+  /// parameter stays until that benchmark changes; see core/plan_arena.h).
   Result<SimulationReport> Run(Policy policy, int rep = 0,
                                core::PlanArena* arena = nullptr) const;
 

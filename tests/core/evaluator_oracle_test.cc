@@ -304,22 +304,86 @@ TEST(EvaluatorOracleTest, DegenerateProblemShapes) {
   }
 }
 
-// Borrowed-arena lifetime: reset-then-rebuild reuses the arena blocks and
-// yields an evaluator that still agrees with the oracle.
-TEST(EvaluatorOracleTest, BorrowedArenaRebuildAfterReset) {
-  Rng rng(0xA2E7A);
+// One arena reused across problems whose sizes grow and shrink, as
+// Simulator::Run reuses its arena from slot to slot. A reused arena still
+// holds the previous build's columns, so every answer must equal what an
+// evaluator-owned (fresh) arena gives, and the oracle. The corpus mixes
+// shapes: up to 200 rules (multi-word mirrors whose size is not a multiple
+// of 64), a handful of rules, and rounds with every rule inactive.
+TEST(EvaluatorOracleTest, ReusedArenaMatchesFreshArenaAndOracle) {
+  constexpr int kGroupBounds[][2] = {{30, 50}, {1, 3}, {12, 24}, {1, 1}};
+  const HillClimbingPlanner ep;
   PlanArena arena;
-  for (int round = 0; round < 8; ++round) {
-    arena.Reset();
-    const SlotProblem problem = RandomProblem(&rng, 2, 10);
-    const SlotEvaluator evaluator(&problem, &arena);
-    EXPECT_GT(arena.allocated_bytes(), 0u);
-    const Solution s = Solution::Init(static_cast<size_t>(problem.n_rules),
-                                      InitStrategy::kRandom, &rng);
-    ExpectExact(evaluator.Evaluate(s), Oracle(problem, s));
-    ExpectExact(evaluator.AllRulesObjectives(),
-                Oracle(problem, Solution(s.size(), 1)));
+  int zero_active = 0;
+  int ragged_multiword = 0;
+  for (int round = 0; round < 64; ++round) {
+    Rng rng(MixHash(0xA2E7AULL, static_cast<uint64_t>(round)));
+    const int* bounds = kGroupBounds[round % 4];
+    SlotProblem problem = RandomProblem(&rng, bounds[0], bounds[1]);
+    if (round % 5 == 2) problem.active.clear();  // firewall pruned them all
+    zero_active += problem.active.empty() ? 1 : 0;
+    ragged_multiword +=
+        problem.n_rules > 64 && problem.n_rules % 64 != 0 ? 1 : 0;
+    const int n = problem.n_rules;
+
+    {
+      const SlotEvaluator reused(&problem, &arena);
+      const SlotEvaluator fresh(&problem);
+      const Solution none(static_cast<size_t>(n));
+      for (int r = 0; r < n; ++r) {
+        ASSERT_EQ(reused.IsActive(r), fresh.IsActive(r))
+            << "round " << round << " rule " << r;
+        const SlotEvaluator::FlipDelta a = reused.SingleFlipDelta(none, r);
+        const SlotEvaluator::FlipDelta b = fresh.SingleFlipDelta(none, r);
+        ASSERT_EQ(a.before_energy, b.before_energy) << "round " << round;
+        ASSERT_EQ(a.before_error, b.before_error) << "round " << round;
+        ASSERT_EQ(a.after_energy, b.after_energy) << "round " << round;
+        ASSERT_EQ(a.after_error, b.after_error) << "round " << round;
+      }
+      // NoRuleObjectives sums in active-rule order, not the oracle's.
+      ExpectExact(reused.NoRuleObjectives(), fresh.NoRuleObjectives());
+      EXPECT_TRUE(Near(reused.NoRuleObjectives(), Oracle(problem, none)));
+      ExpectExact(reused.AllRulesObjectives(),
+                  Oracle(problem, Solution(static_cast<size_t>(n), 1)));
+
+      Solution s = Solution::Init(static_cast<size_t>(n),
+                                  InitStrategy::kRandom, &rng);
+      Objectives base = reused.Evaluate(s);
+      ExpectExact(base, fresh.Evaluate(s));
+      ExpectExact(base, Oracle(problem, s));
+      for (int move = 0; move < 16; ++move) {
+        const std::vector<int> flips = RandomFlips(problem, &rng);
+        const Objectives got = reused.EvaluateWithFlips(s, base, flips);
+        ExpectExact(got, fresh.EvaluateWithFlips(s, base, flips));
+        ASSERT_TRUE(Near(got, Oracle(problem, Flipped(s, flips))))
+            << "round " << round << " move " << move;
+        if (rng.Bernoulli(0.5)) {
+          Solution t = s;
+          reused.ApplyFlips(&s, flips);
+          fresh.ApplyFlips(&t, flips);
+          base = got;
+        }
+      }
+    }
+
+    // A plan on the reused arena (this build invalidates the evaluator
+    // above) is the plan a fresh arena gives, from the same stream.
+    const SlotEvaluator reused(&problem, &arena);
+    const SlotEvaluator fresh(&problem);
+    Rng reused_rng(MixHash(0x9E11ULL, static_cast<uint64_t>(round)));
+    Rng fresh_rng(MixHash(0x9E11ULL, static_cast<uint64_t>(round)));
+    const PlanOutcome want = ep.PlanSlot(fresh, &fresh_rng);
+    const PlanOutcome got = ep.PlanSlot(reused, &reused_rng);
+    EXPECT_EQ(got.solution, want.solution) << "round " << round;
+    ExpectExact(got.objectives, want.objectives);
+    EXPECT_EQ(got.iterations, want.iterations) << "round " << round;
+    EXPECT_EQ(got.feasible, want.feasible) << "round " << round;
+    EXPECT_EQ(got.moves_accepted, want.moves_accepted) << "round " << round;
+    EXPECT_TRUE(Near(got.objectives, Oracle(problem, got.solution)))
+        << "round " << round;
   }
+  EXPECT_GT(zero_active, 0);
+  EXPECT_GT(ragged_multiword, 0);
 }
 
 }  // namespace

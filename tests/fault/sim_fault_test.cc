@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "fault/fault_plan.h"
+#include "obs/flight_recorder.h"
+#include "obs/tracer.h"
 #include "sim/simulation.h"
 
 namespace imcf {
@@ -130,6 +134,55 @@ TEST(SimFaultTest, FirewallRejectedCommandsNeverCharged) {
   EXPECT_GT(blocked->fce_pct, clean->fce_pct);
   // Chain drops are admin policy, not delivery failures.
   EXPECT_EQ(blocked->commands_failed, 0);
+}
+
+// The run's command tallies are the firewall's own counters, and each
+// plan.slot span carries that slot's share of them as cmd_issued /
+// cmd_dropped. Summed over the run's slots the span args must give the
+// report's totals, with chain drops, plan drops and undeliverable
+// commands all in play.
+TEST(SimFaultTest, SlotSpanCommandArgsSumToRunTallies) {
+  SimulationOptions options = TightFlat();
+  options.hours = 3 * 24;  // every span of the run fits one trace ring
+  options.fault = fault::FaultOptions::UniformRate(0.25, /*seed=*/9);
+  options.chain_setup = [](firewall::Chain* chain) {
+    firewall::ChainRule rule;
+    rule.address = "10.0.0.1";  // unit 0 HVAC
+    rule.target = firewall::Verdict::kDrop;
+    chain->Append(rule);
+  };
+  Simulator sim(options);
+  ASSERT_TRUE(sim.Prepare().ok());
+  uint64_t trace_id = 0x51075;
+  for (const Policy policy : {Policy::kEnergyPlanner, Policy::kIfttt}) {
+    ++trace_id;
+    Result<SimulationReport> report = Status::Internal("not run");
+    {
+      obs::ScopedSpan root("test.run", "test", obs::Tracer::Root(trace_id));
+      report = sim.Run(policy);
+    }
+    ASSERT_TRUE(report.ok());
+    int64_t slots = 0;
+    int64_t issued = 0;
+    int64_t dropped = 0;
+    for (const obs::SpanRecord& r :
+         obs::FlightRecorder::Default().Snapshot()) {
+      if (r.trace_id != trace_id || std::string_view(r.name) != "plan.slot") {
+        continue;
+      }
+      ++slots;
+      ASSERT_STREQ(r.arg_name, "cmd_issued");
+      ASSERT_STREQ(r.arg2_name, "cmd_dropped");
+      issued += r.arg_value;
+      dropped += r.arg2_value;
+    }
+    EXPECT_EQ(slots, report->slots) << PolicyName(policy);
+    EXPECT_EQ(issued, report->commands_issued) << PolicyName(policy);
+    EXPECT_EQ(dropped, report->commands_dropped) << PolicyName(policy);
+    EXPECT_GT(report->commands_failed, 0) << PolicyName(policy);
+    EXPECT_GT(report->commands_dropped, report->commands_failed)
+        << PolicyName(policy);
+  }
 }
 
 }  // namespace

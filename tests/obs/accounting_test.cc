@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,19 +19,17 @@ TEST(TenantCostTest, PlusEqualsSumsEveryField) {
   TenantCost a;
   a.phase_ns[0] = 1;
   a.phase_ns[3] = 4;
-  a.arena_bytes = 10;
   a.flip_evals = 20;
   a.plans_ok = 1;
   a.faults = 2;
   TenantCost b;
   b.phase_ns[0] = 100;
-  b.arena_bytes = 1;
+  b.flip_evals = 1;
   b.errors = 3;
   a += b;
   EXPECT_EQ(a.phase_ns[0], 101);
   EXPECT_EQ(a.phase_ns[3], 4);
-  EXPECT_EQ(a.arena_bytes, 11);
-  EXPECT_EQ(a.flip_evals, 20);
+  EXPECT_EQ(a.flip_evals, 21);
   EXPECT_EQ(a.plans_ok, 1);
   EXPECT_EQ(a.errors, 3);
   EXPECT_EQ(a.faults, 2);
@@ -39,18 +38,20 @@ TEST(TenantCostTest, PlusEqualsSumsEveryField) {
 
 TEST(CostSortKeyTest, ParsesKnownKeysAndDefaultsToCpu) {
   EXPECT_EQ(ParseCostSortKey("cpu"), CostSortKey::kCpu);
-  EXPECT_EQ(ParseCostSortKey("bytes"), CostSortKey::kBytes);
   EXPECT_EQ(ParseCostSortKey("plans"), CostSortKey::kPlans);
   EXPECT_EQ(ParseCostSortKey("sheds"), CostSortKey::kSheds);
-  EXPECT_EQ(ParseCostSortKey("nonsense"), CostSortKey::kCpu);
-  EXPECT_EQ(ParseCostSortKey(""), CostSortKey::kCpu);
+  // Unknown names are refused, not defaulted: the cpu default belongs to a
+  // caller with no sort key at all (/tenantz without sort=).
+  EXPECT_EQ(ParseCostSortKey("bytes"), std::nullopt);
+  EXPECT_EQ(ParseCostSortKey("nonsense"), std::nullopt);
+  EXPECT_EQ(ParseCostSortKey(""), std::nullopt);
 }
 
 TEST(CostLedgerTest, ApplyMergesAndSnapshotSortsByTenant) {
   CostLedger ledger(2);
   TenantCost delta;
   delta.plans_ok = 1;
-  delta.arena_bytes = 8;
+  delta.flip_evals = 8;
   ledger.Apply(1, "zeta", delta);
   ledger.Apply(0, "alpha", delta);
   ledger.Apply(1, "zeta", delta);  // merges into the existing row
@@ -61,7 +62,7 @@ TEST(CostLedgerTest, ApplyMergesAndSnapshotSortsByTenant) {
   EXPECT_EQ(rows[0].cost.plans_ok, 1);
   EXPECT_EQ(rows[1].tenant, "zeta");
   EXPECT_EQ(rows[1].cost.plans_ok, 2);
-  EXPECT_EQ(rows[1].cost.arena_bytes, 16);
+  EXPECT_EQ(rows[1].cost.flip_evals, 16);
 }
 
 TEST(CostLedgerTest, SameTenantOnTwoShardsMergesInSnapshot) {
@@ -80,20 +81,20 @@ TEST(CostLedgerTest, SameTenantOnTwoShardsMergesInSnapshot) {
 TEST(CostLedgerTest, TopKOrdersDescendingWithTenantTiebreak) {
   CostLedger ledger(1);
   TenantCost big;
-  big.arena_bytes = 100;
+  big.plans_ok = 100;
   TenantCost small;
-  small.arena_bytes = 1;
+  small.plans_ok = 1;
   ledger.Apply(0, "b-big", big);
   ledger.Apply(0, "a-small", small);
   ledger.Apply(0, "c-small", small);  // ties a-small on every key
 
-  std::vector<CostLedger::Row> top = ledger.TopK(2, CostSortKey::kBytes);
+  std::vector<CostLedger::Row> top = ledger.TopK(2, CostSortKey::kPlans);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].tenant, "b-big");
   EXPECT_EQ(top[1].tenant, "a-small");  // tie broken by id, ascending
 
   // k == 0 means everything.
-  EXPECT_EQ(ledger.TopK(0, CostSortKey::kBytes).size(), 3u);
+  EXPECT_EQ(ledger.TopK(0, CostSortKey::kPlans).size(), 3u);
 }
 
 TEST(CostLedgerTest, CanonicalTextMasksTimingAndIsStable) {
@@ -158,7 +159,6 @@ TEST(ScopedCostTest, FlushesOnceAtDestruction) {
     ASSERT_TRUE(cost.active());
     cost.local()->plans_ok = 1;
     cost.local()->phase_ns[1] += 50;
-    CostAddArenaBytes(64);
     CostAddFlipEvals(3);
     CostAddFault();
     // Nothing reaches the ledger while the scope is open.
@@ -168,7 +168,6 @@ TEST(ScopedCostTest, FlushesOnceAtDestruction) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].cost.plans_ok, 1);
   EXPECT_EQ(rows[0].cost.phase_ns[1], 50);
-  EXPECT_EQ(rows[0].cost.arena_bytes, 64);
   EXPECT_EQ(rows[0].cost.flip_evals, 3);
   EXPECT_EQ(rows[0].cost.faults, 1);
 }
@@ -199,17 +198,17 @@ TEST(ScopedCostTest, NestedScopeShadowsAndRestoresAmbient) {
     {
       ScopedCost inner(&ledger, 0, inner_tenant);
       EXPECT_EQ(AmbientCost(), inner.local());
-      CostAddArenaBytes(7);  // charges inner
+      CostAddFlipEvals(7);  // charges inner
     }
     EXPECT_EQ(AmbientCost(), outer.local());
-    CostAddArenaBytes(100);  // charges outer
+    CostAddFlipEvals(100);  // charges outer
   }
   std::vector<CostLedger::Row> rows = ledger.Snapshot();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].tenant, "inner");
-  EXPECT_EQ(rows[0].cost.arena_bytes, 7);
+  EXPECT_EQ(rows[0].cost.flip_evals, 7);
   EXPECT_EQ(rows[1].tenant, "outer");
-  EXPECT_EQ(rows[1].cost.arena_bytes, 100);
+  EXPECT_EQ(rows[1].cost.flip_evals, 100);
 }
 
 TEST(ScopedCostTest, AmbientIsPerThread) {

@@ -109,8 +109,8 @@ TEST(ExportTest, PrometheusEscapesLabelValues) {
 }
 
 TEST(ExportTest, PrometheusEscapesHostileTenantLabel) {
-  // Tenant ids flow straight into label values in the serving layer; a
-  // hostile id must not be able to break out of the sample line.
+  // Tenant ids are client-chosen strings; one used as a label value must
+  // not be able to break out of the sample line.
   MetricRegistry registry;
   registry
       .GetCounter("imcf_serve_tenant_responses_total", "Per-tenant.",

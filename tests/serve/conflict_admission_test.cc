@@ -247,17 +247,24 @@ TEST(ConflictAdmissionTest, ConflictzAndStrictTenantzOverHttp) {
       << conflictz;
 
   // Strict /tenantz: unknown sort and malformed k are 400s, valid forms
-  // still serve.
+  // still serve. The ledger has no byte column, so sort=bytes is unknown.
   EXPECT_NE(RawRequest(port, "GET /tenantz?sort=bogus HTTP/1.0").find("400"),
             std::string::npos);
+  const std::string bytes =
+      RawRequest(port, "GET /tenantz?sort=bytes HTTP/1.0");
+  EXPECT_NE(bytes.find("400"), std::string::npos) << bytes;
+  EXPECT_NE(bytes.find("sort=cpu|plans|sheds"), std::string::npos) << bytes;
   EXPECT_NE(RawRequest(port, "GET /tenantz?k=12x HTTP/1.0").find("400"),
             std::string::npos);
   EXPECT_NE(RawRequest(port, "GET /tenantz?k=-1 HTTP/1.0").find("400"),
             std::string::npos);
-  EXPECT_NE(
-      RawRequest(port, "GET /tenantz?sort=cpu&k=2 HTTP/1.0")
-          .find("HTTP/1.0 200 OK"),
-      std::string::npos);
+  for (const char* target : {"/tenantz?sort=cpu&k=2", "/tenantz?sort=plans",
+                             "/tenantz?sort=sheds"}) {
+    EXPECT_NE(RawRequest(port, std::string("GET ") + target + " HTTP/1.0")
+                  .find("HTTP/1.0 200 OK"),
+              std::string::npos)
+        << target;
+  }
 }
 
 }  // namespace

@@ -109,13 +109,12 @@ TEST(FleetAccountingTest, OutcomesAndPhasesLandOnTheRightTenants) {
   for (int i = 0; i < kTenants; ++i) {
     const obs::TenantCost& cost = by_tenant.at(StrFormat("t%d", i));
     EXPECT_EQ(cost.plans_ok, 1) << "tenant " << i;
-    // A served plan spent time in the planner and the simulator, allocated
-    // arena bytes, and evaluated flips.
+    // A served plan spent time in the planner and the simulator, and
+    // evaluated flips.
     EXPECT_GT(cost.phase_ns[static_cast<size_t>(obs::CostPhase::kPlan)], 0);
     EXPECT_GT(cost.phase_ns[static_cast<size_t>(obs::CostPhase::kSim)], 0);
     EXPECT_GT(cost.phase_ns[static_cast<size_t>(obs::CostPhase::kQueueWait)],
               0);
-    EXPECT_GT(cost.arena_bytes, 0);
     EXPECT_GT(cost.flip_evals, 0);
   }
   EXPECT_EQ(by_tenant.at("t0").commands_ok, 1);
