@@ -7,11 +7,14 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/baselines.h"
 #include "core/evaluator.h"
 #include "core/hill_climber.h"
+#include "fault/command_bus.h"
 #include "firewall/imcf_firewall.h"
 #include "obs/accounting/cost_ledger.h"
 #include "obs/metrics.h"
@@ -165,8 +168,8 @@ void BM_FirewallFilter(benchmark::State& state) {
   devices::DeviceRegistry registry;
   const auto ac =
       *registry.Add("ac", devices::DeviceKind::kHvac, 0, "10.0.0.1");
-  firewall::MetaControlFirewall fw(&registry, 64);
-  fw.SetDroppedRules({1, 3, 5});
+  firewall::MetaControlFirewall fw(&registry);
+  fw.SetDroppedRules(std::vector<int>{1, 3, 5});
   devices::ActuationCommand cmd;
   cmd.device = ac;
   cmd.type = devices::CommandType::kSetTemperature;
@@ -180,6 +183,46 @@ void BM_FirewallFilter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FirewallFilter);
+
+// The fleet's per-command path: Filter, then fault-aware delivery on the
+// wire benchmark's fault plan (seed 7, 20% transient errors per attempt)
+// to a dorms registry's 200 devices, one command per device per hour.
+void BM_FirewallFilterFaulted(benchmark::State& state) {
+  const trace::DatasetSpec spec = trace::DormsSpec();
+  devices::DeviceRegistry registry;
+  for (int u = 0; u < spec.units; ++u) {
+    (void)registry.Add(StrFormat("unit%02d_ac", u),
+                       devices::DeviceKind::kHvac, u,
+                       StrFormat("10.0.%d.1", u));
+    (void)registry.Add(StrFormat("unit%02d_light", u),
+                       devices::DeviceKind::kLight, u,
+                       StrFormat("10.0.%d.2", u));
+  }
+  fault::FaultOptions options;
+  options.enabled = true;
+  options.seed = 7;
+  options.device.transient_error_prob = 0.2;
+  const fault::FaultPlan plan(options);
+  fault::CommandBus bus(&plan, fault::RetryPolicy{}, &registry);
+  firewall::MetaControlFirewall fw(&registry);
+  fw.set_command_bus(&bus);
+  fw.SetDroppedRules(std::vector<int>{1, 3, 5});
+  const auto n_devices = static_cast<devices::DeviceId>(registry.size());
+  devices::ActuationCommand cmd;
+  cmd.type = devices::CommandType::kSetTemperature;
+  cmd.value = 23.0;
+  cmd.source = "mrt";
+  int64_t i = 0;
+  for (auto _ : state) {
+    cmd.device = static_cast<devices::DeviceId>(i % n_devices);
+    cmd.rule_id = static_cast<int>(i % 6);
+    cmd.time = FromCivil(2015, 1, 1) + (i / n_devices) * kSecondsPerHour;
+    benchmark::DoNotOptimize(fw.Filter(cmd));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FirewallFilterFaulted)->Name("BM_FirewallFilter/faulted");
 
 void BM_WeatherSample(benchmark::State& state) {
   weather::SyntheticWeather weather;

@@ -132,7 +132,7 @@ Result<PrototypeReport> PrototypeStudy::Run(
       energy::AmortizationPlan::Create(amort, energy::FlatEcp()));
   energy::BudgetLedger ledger(&plan);
 
-  firewall::MetaControlFirewall fw(&registry, /*audit_capacity=*/512);
+  firewall::MetaControlFirewall fw(&registry);
   std::unique_ptr<fault::CommandBus> bus;
   if (fault_plan.enabled()) {
     bus = std::make_unique<fault::CommandBus>(&fault_plan, options_.retry,

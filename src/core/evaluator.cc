@@ -43,9 +43,11 @@ SlotEvaluator::SlotEvaluator(const SlotProblem* problem, PlanArena* arena)
   ws.contrib_energy.resize(n_members + n_groups);
   ws.contrib_error.resize(n_members + n_groups);
   ws.winner_pos.resize(n_groups);
-  // mirror_size_ == -1: every group is stale until the first Evaluate.
-  ws.mirror.assign(
-      std::max<size_t>(static_cast<size_t>(n_rules_ + 63) / 64, 1), 0);
+  // Left as the previous build wrote it: nothing reads a mirror word before
+  // SyncMirror (run by the first Evaluate) rewrites every one, and
+  // GroupFresh is false while mirror_size_ is -1.
+  ws.mirror.resize(
+      std::max<size_t>(static_cast<size_t>(n_rules_ + 63) / 64, 1));
   ws.member_active.resize(n_members);
 
   int32_t* const group_off = ws.group_off.data();

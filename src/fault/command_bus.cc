@@ -1,6 +1,11 @@
 #include "fault/command_bus.h"
 
-#include <string>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstring>
+#include <iterator>
+#include <string_view>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -14,7 +19,8 @@ CommandBus::CommandBus(const FaultPlan* plan, RetryPolicy policy,
     : plan_(plan), policy_(policy), registry_(registry) {}
 
 CommandBus::~CommandBus() {
-  // One flush per bus lifetime; kind labels are a closed 5-value set.
+  // One flush per bus lifetime; kind labels are a closed 5-value set,
+  // resolved once per process like the unlabelled counters.
   using obs::Counter;
   auto& reg = obs::MetricRegistry::Default();
   static Counter* const deliveries = reg.GetCounter(
@@ -29,16 +35,23 @@ CommandBus::~CommandBus() {
       "Commands that exhausted retries or timed out");
   static Counter* const retries = reg.GetCounter(
       "imcf_fault_retries_total", "Delivery attempts beyond the first");
+  static const std::array<Counter*, kNumFaultKinds> injected = [&reg] {
+    std::array<Counter*, kNumFaultKinds> by_kind{};
+    for (size_t i = 1; i < kNumFaultKinds; ++i) {
+      by_kind[i] = reg.GetCounter(
+          "imcf_fault_injected_total",
+          "Injected faults observed by the command bus",
+          {{"kind", FaultKindName(static_cast<FaultKind>(i))}});
+    }
+    return by_kind;
+  }();
   deliveries->Increment(stats_.deliveries);
   delivered->Increment(stats_.delivered);
   after_retry->Increment(stats_.delivered_after_retry);
   undeliverable->Increment(stats_.undeliverable);
   retries->Increment(stats_.retries);
   for (size_t i = 1; i < kNumFaultKinds; ++i) {
-    reg.GetCounter("imcf_fault_injected_total",
-                   "Injected faults observed by the command bus",
-                   {{"kind", FaultKindName(static_cast<FaultKind>(i))}})
-        ->Increment(stats_.faults[i]);
+    injected[i]->Increment(stats_.faults[i]);
   }
 }
 
@@ -53,18 +66,28 @@ Delivery CommandBus::Deliver(const devices::ActuationCommand& cmd) {
     return delivery;
   }
 
-  std::string channel = "device:";
+  // The channel is "device:<thing-name>", or "device:#<id>" for a device
+  // the registry does not name. It is hashed from its two parts, once per
+  // delivery: the name stays in the registry and the id text on the stack.
+  constexpr std::string_view kDevicePrefix = "device:";
+  std::string_view name;
   if (registry_ != nullptr) {
     auto thing = registry_->Get(cmd.device);
-    if (thing.ok()) channel += (*thing)->name;
+    if (thing.ok()) name = (*thing)->name;
   }
-  if (channel.size() == 7) channel += '#' + std::to_string(cmd.device);
+  char id_text[16] = {'#'};
+  if (name.empty()) {
+    const char* const end =
+        std::to_chars(id_text + 1, std::end(id_text), cmd.device).ptr;
+    name = std::string_view(id_text, static_cast<size_t>(end - id_text));
+  }
+  const uint64_t channel = ChannelHash(kDevicePrefix, name);
+  const FaultRates& rates = plan_->options().device;
 
-  const uint64_t token =
-      MixHash(ChannelHash(channel), static_cast<uint64_t>(cmd.time));
-  const RetryTrace trace = RunWithRetry(
-      policy_, token, cmd.time, [this, &channel](SimTime when) {
-        const FaultDecision decision = plan_->At(channel, when);
+  const uint64_t token = MixHash(channel, static_cast<uint64_t>(cmd.time));
+  const RetryTrace trace =
+      RunWithRetry(policy_, token, cmd.time, [&](SimTime when) {
+        const FaultDecision decision = plan_->AtHashed(channel, rates, when);
         if (decision.faulted()) {
           ++stats_.faults[static_cast<size_t>(decision.kind)];
         }
@@ -88,13 +111,18 @@ Delivery CommandBus::Deliver(const devices::ActuationCommand& cmd) {
   // Clean first-attempt deliveries stay span-free; only retries and
   // failures leave events (the channel names the device, the attempt count
   // the retry depth). Fault decisions are (seed, channel, time)-pure, so
-  // these events are deterministic.
-  if (!trace.success) {
-    obs::TraceEvent("bus.undeliverable", "fault", channel, "attempts",
-                    trace.attempts);
-  } else if (trace.attempts > 1) {
-    obs::TraceEvent("bus.retry_delivered", "fault", channel, "attempts",
-                    trace.attempts);
+  // these events are deterministic. The channel text is written only here,
+  // cut where the span record cuts its detail.
+  if (!trace.success || trace.attempts > 1) {
+    char text[obs::kSpanDetailBytes - 1];
+    std::memcpy(text, kDevicePrefix.data(), kDevicePrefix.size());
+    const size_t tail =
+        std::min(name.size(), sizeof(text) - kDevicePrefix.size());
+    std::memcpy(text + kDevicePrefix.size(), name.data(), tail);
+    obs::TraceEvent(
+        trace.success ? "bus.retry_delivered" : "bus.undeliverable", "fault",
+        std::string_view(text, kDevicePrefix.size() + tail), "attempts",
+        trace.attempts);
   }
   stats_.attempts += trace.attempts;
   stats_.retries += trace.attempts > 0 ? trace.attempts - 1 : 0;

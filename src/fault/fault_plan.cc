@@ -1,5 +1,7 @@
 #include "fault/fault_plan.h"
 
+#include <initializer_list>
+
 #include "common/rng.h"
 
 namespace imcf {
@@ -61,11 +63,18 @@ FaultOptions FaultOptions::UniformRate(double rate, uint64_t seed) {
 }
 
 uint64_t ChannelHash(std::string_view channel) {
-  // FNV-1a, then one splitmix finalizer for avalanche.
+  return ChannelHash(channel, {});
+}
+
+uint64_t ChannelHash(std::string_view prefix, std::string_view suffix) {
+  // FNV-1a over the bytes of both parts, then one splitmix finalizer for
+  // avalanche.
   uint64_t h = 1469598103934665603ULL;
-  for (const char c : channel) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
+  for (const std::string_view part : {prefix, suffix}) {
+    for (const char c : part) {
+      h ^= static_cast<uint8_t>(c);
+      h *= 1099511628211ULL;
+    }
   }
   return MixHash(h);
 }
@@ -77,19 +86,24 @@ const FaultRates& FaultPlan::RatesFor(std::string_view channel) const {
 }
 
 FaultDecision FaultPlan::At(std::string_view channel, SimTime t) const {
-  FaultDecision decision;
-  if (!options_.enabled) return decision;
+  if (!options_.enabled) return {};
   const FaultRates& rates = RatesFor(channel);
-  if (rates.zero()) return decision;
+  if (rates.zero()) return {};
+  return AtHashed(ChannelHash(channel), rates, t);
+}
 
-  const uint64_t ch = ChannelHash(channel);
+FaultDecision FaultPlan::AtHashed(uint64_t channel_hash,
+                                  const FaultRates& rates, SimTime t) const {
+  FaultDecision decision;
+  if (!options_.enabled || rates.zero()) return decision;
 
   // Stuck windows first: a stuck device swallows everything for the whole
   // window, which is what distinguishes it from a per-attempt fault.
   if (rates.stuck_prob > 0.0) {
     const int64_t window = WindowIndex(t, rates.stuck_window_seconds);
-    const uint64_t hw = MixHash(MixHash(options_.seed ^ kStuckDomain, ch),
-                                static_cast<uint64_t>(window));
+    const uint64_t hw =
+        MixHash(MixHash(options_.seed ^ kStuckDomain, channel_hash),
+                static_cast<uint64_t>(window));
     if (ToUniform(hw) < rates.stuck_prob) {
       decision.kind = FaultKind::kStuck;
       return decision;
@@ -97,8 +111,9 @@ FaultDecision FaultPlan::At(std::string_view channel, SimTime t) const {
   }
 
   // Per-attempt faults: one uniform draw sliced into disjoint intervals.
-  const uint64_t ha = MixHash(MixHash(options_.seed ^ kAttemptDomain, ch),
-                              static_cast<uint64_t>(t));
+  const uint64_t ha =
+      MixHash(MixHash(options_.seed ^ kAttemptDomain, channel_hash),
+              static_cast<uint64_t>(t));
   const double u = ToUniform(ha);
   double edge = rates.drop_prob;
   if (u < edge) {

@@ -105,6 +105,13 @@ class FaultPlan {
   /// instances, and threads.
   FaultDecision At(std::string_view channel, SimTime t) const;
 
+  /// The same decision for a channel the caller already resolved:
+  /// `channel_hash` is its ChannelHash and `rates` the options' rates for
+  /// its class. The command bus hashes a device channel once per delivery
+  /// and calls this once per attempt.
+  FaultDecision AtHashed(uint64_t channel_hash, const FaultRates& rates,
+                         SimTime t) const;
+
  private:
   const FaultRates& RatesFor(std::string_view channel) const;
 
@@ -114,6 +121,9 @@ class FaultPlan {
 /// Stable 64-bit hash of a channel name (exposed so retry tokens can be
 /// derived from the same key space).
 uint64_t ChannelHash(std::string_view channel);
+
+/// ChannelHash of `prefix` followed by `suffix`, without joining them.
+uint64_t ChannelHash(std::string_view prefix, std::string_view suffix);
 
 }  // namespace fault
 }  // namespace imcf

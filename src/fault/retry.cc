@@ -22,45 +22,5 @@ SimTime RetryPolicy::BackoffSeconds(int attempt, uint64_t token) const {
   return static_cast<SimTime>(std::llround(backoff));
 }
 
-RetryTrace RunWithRetry(
-    const RetryPolicy& policy, uint64_t token, SimTime start,
-    const std::function<AttemptResult(SimTime when)>& attempt) {
-  RetryTrace trace;
-  const int max_attempts = std::max(1, policy.max_attempts);
-  for (int a = 1; a <= max_attempts; ++a) {
-    if (a > 1) {
-      const SimTime backoff = policy.BackoffSeconds(a - 1, token);
-      if (trace.elapsed_seconds + backoff > policy.command_timeout_seconds) {
-        trace.timed_out = true;
-        break;
-      }
-      trace.elapsed_seconds += backoff;
-    }
-    ++trace.attempts;
-    const AttemptResult result = attempt(start + trace.elapsed_seconds);
-    trace.last_fault = result.fault;
-    switch (result.fault) {
-      case FaultKind::kNone:
-      case FaultKind::kDelay:
-        trace.elapsed_seconds += result.latency_seconds;
-        trace.success = true;
-        return trace;
-      case FaultKind::kDrop:
-      case FaultKind::kStuck:
-        // Nothing comes back; the sender detects the loss by timeout.
-        trace.elapsed_seconds += policy.attempt_timeout_seconds;
-        break;
-      case FaultKind::kTransientError:
-        // An explicit error response is immediate.
-        break;
-    }
-    if (trace.elapsed_seconds >= policy.command_timeout_seconds) {
-      trace.timed_out = true;
-      break;
-    }
-  }
-  return trace;
-}
-
 }  // namespace fault
 }  // namespace imcf

@@ -9,7 +9,7 @@
 #ifndef IMCF_FAULT_RETRY_H_
 #define IMCF_FAULT_RETRY_H_
 
-#include <functional>
+#include <algorithm>
 
 #include "common/time.h"
 #include "fault/fault_plan.h"
@@ -61,10 +61,47 @@ struct RetryTrace {
 /// time of each attempt (start + accumulated timeouts/backoff) and reports
 /// what the channel did; kNone and kDelay count as success, kDrop and
 /// kStuck burn the attempt timeout, kTransientError fails fast. `token`
-/// seeds the jitter stream.
-RetryTrace RunWithRetry(
-    const RetryPolicy& policy, uint64_t token, SimTime start,
-    const std::function<AttemptResult(SimTime when)>& attempt);
+/// seeds the jitter stream. A template so the per-attempt call inlines:
+/// the command bus runs it once per delivered command.
+template <typename Attempt>
+RetryTrace RunWithRetry(const RetryPolicy& policy, uint64_t token,
+                        SimTime start, Attempt&& attempt) {
+  RetryTrace trace;
+  const int max_attempts = std::max(1, policy.max_attempts);
+  for (int a = 1; a <= max_attempts; ++a) {
+    if (a > 1) {
+      const SimTime backoff = policy.BackoffSeconds(a - 1, token);
+      if (trace.elapsed_seconds + backoff > policy.command_timeout_seconds) {
+        trace.timed_out = true;
+        break;
+      }
+      trace.elapsed_seconds += backoff;
+    }
+    ++trace.attempts;
+    const AttemptResult result = attempt(start + trace.elapsed_seconds);
+    trace.last_fault = result.fault;
+    switch (result.fault) {
+      case FaultKind::kNone:
+      case FaultKind::kDelay:
+        trace.elapsed_seconds += result.latency_seconds;
+        trace.success = true;
+        return trace;
+      case FaultKind::kDrop:
+      case FaultKind::kStuck:
+        // Nothing comes back; the sender detects the loss by timeout.
+        trace.elapsed_seconds += policy.attempt_timeout_seconds;
+        break;
+      case FaultKind::kTransientError:
+        // An explicit error response is immediate.
+        break;
+    }
+    if (trace.elapsed_seconds >= policy.command_timeout_seconds) {
+      trace.timed_out = true;
+      break;
+    }
+  }
+  return trace;
+}
 
 }  // namespace fault
 }  // namespace imcf

@@ -1,5 +1,8 @@
 #include "firewall/imcf_firewall.h"
 
+#include <algorithm>
+#include <array>
+
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -25,15 +28,13 @@ const char* DecisionReasonName(DecisionReason reason) {
 }
 
 MetaControlFirewall::MetaControlFirewall(
-    const devices::DeviceRegistry* registry, size_t audit_capacity)
-    : registry_(registry),
-      chain_("OUTPUT", Verdict::kAccept),
-      audit_capacity_(audit_capacity) {}
+    const devices::DeviceRegistry* registry)
+    : registry_(registry), chain_("OUTPUT", Verdict::kAccept) {}
 
 MetaControlFirewall::~MetaControlFirewall() {
   // Firewalls are per-study objects; one flush at teardown exports the
-  // whole lifetime. The reason label is a closed 5-value set, so the
-  // cardinality stays bounded.
+  // whole lifetime. The reason label is a closed 6-value set, so the
+  // cardinality stays bounded; its counters are resolved once per process.
   using obs::Counter;
   auto& reg = obs::MetricRegistry::Default();
   static Counter* const commands = reg.GetCounter(
@@ -49,55 +50,64 @@ MetaControlFirewall::~MetaControlFirewall() {
   static Counter* const unavailable = reg.GetCounter(
       "imcf_firewall_device_unavailable_total",
       "Accepted commands that failed fault-aware delivery");
+  static const std::array<Counter*, kNumDecisionReasons> decisions = [&reg] {
+    std::array<Counter*, kNumDecisionReasons> by_reason{};
+    for (size_t i = 0; i < kNumDecisionReasons; ++i) {
+      by_reason[i] = reg.GetCounter(
+          "imcf_firewall_decisions_total", "Filter decisions by reason",
+          {{"reason", DecisionReasonName(static_cast<DecisionReason>(i))}});
+    }
+    return by_reason;
+  }();
   commands->Increment(stats_.total);
   accepted->Increment(stats_.accepted);
   dropped_chain->Increment(stats_.dropped_by_chain);
   dropped_plan->Increment(stats_.dropped_by_plan);
   unavailable->Increment(stats_.device_unavailable);
   for (size_t i = 0; i < kNumDecisionReasons; ++i) {
-    // Labelled family: one instance per DecisionReason. Not cached in a
-    // static (the pointer differs per label), but this runs once per
-    // firewall lifetime, not per command.
-    reg.GetCounter("imcf_firewall_decisions_total",
-                   "Filter decisions by reason",
-                   {{"reason",
-                     DecisionReasonName(static_cast<DecisionReason>(i))}})
-        ->Increment(stats_.by_reason[i]);
+    decisions[i]->Increment(stats_.by_reason[i]);
   }
 }
 
-void MetaControlFirewall::SetDroppedRules(std::vector<int> dropped_rule_ids) {
-  dropped_rules_.clear();
-  dropped_rules_.insert(dropped_rule_ids.begin(), dropped_rule_ids.end());
+void MetaControlFirewall::SetDroppedRules(
+    std::span<const int> dropped_rule_ids) {
+  int max_id = -1;
+  for (const int id : dropped_rule_ids) max_id = std::max(max_id, id);
+  dropped_rules_.assign(static_cast<size_t>(max_id + 1), 0);
+  for (const int id : dropped_rule_ids) {
+    if (id >= 0) dropped_rules_[static_cast<size_t>(id)] = 1;
+  }
 }
 
 Decision MetaControlFirewall::Filter(const devices::ActuationCommand& cmd) {
   Decision decision;
-  decision.command = cmd;
 
-  // Layer 1: the static chain.
-  const devices::Thing* thing = nullptr;
-  if (registry_ != nullptr) {
-    auto lookup = registry_->Get(cmd.device);
-    if (lookup.ok()) thing = lookup.value();
-  }
+  // Layer 1: the static chain (the device lookup only feeds its matches).
   bool matched_chain = false;
-  for (const ChainRule& rule : chain_.rules()) {
-    if (rule.Matches(cmd, thing)) {
-      decision.verdict = rule.target;
-      decision.reason = DecisionReason::kChainRule;
-      matched_chain = true;
-      break;
+  if (!chain_.rules().empty()) {
+    const devices::Thing* thing = nullptr;
+    if (registry_ != nullptr) {
+      auto lookup = registry_->Get(cmd.device);
+      if (lookup.ok()) thing = lookup.value();
+    }
+    for (const ChainRule& rule : chain_.rules()) {
+      if (rule.Matches(cmd, thing)) {
+        decision.verdict = rule.target;
+        decision.reason = DecisionReason::kChainRule;
+        matched_chain = true;
+        break;
+      }
     }
   }
   if (matched_chain && decision.verdict == Verdict::kDrop) {
-    Record(decision);
+    Record(cmd, decision);
     return decision;
   }
 
   // Layer 2: the plan filter (meta-rule commands only).
   if (cmd.rule_id >= 0) {
-    if (dropped_rules_.count(cmd.rule_id) > 0) {
+    const size_t id = static_cast<size_t>(cmd.rule_id);
+    if (id < dropped_rules_.size() && dropped_rules_[id] != 0) {
       decision.verdict = Verdict::kDrop;
       decision.reason = DecisionReason::kPlanDropped;
     } else {
@@ -119,18 +129,19 @@ Decision MetaControlFirewall::Filter(const devices::ActuationCommand& cmd) {
     }
   }
 
-  Record(decision);
+  Record(cmd, decision);
   return decision;
 }
 
-void MetaControlFirewall::Record(Decision decision) {
+void MetaControlFirewall::Record(const devices::ActuationCommand& cmd,
+                                 Decision decision) {
   // Drops only: accepted commands are the common case and stay span-free;
   // each drop leaves one event naming the deciding layer (the reason) and
   // the rule, nested under the slot/request span that issued the command.
   if (decision.verdict == Verdict::kDrop) {
     obs::TraceEvent("fw.drop", "firewall",
                     DecisionReasonName(decision.reason), "rule",
-                    decision.command.rule_id);
+                    cmd.rule_id);
   }
   ++stats_.total;
   ++stats_.by_reason[static_cast<size_t>(decision.reason)];
@@ -143,8 +154,6 @@ void MetaControlFirewall::Record(Decision decision) {
   } else {
     ++stats_.dropped_by_chain;
   }
-  audit_.push_back(std::move(decision));
-  while (audit_.size() > audit_capacity_) audit_.pop_front();
 }
 
 }  // namespace firewall

@@ -17,17 +17,16 @@
 // after bounded retries is reported as kDeviceUnavailable (verdict kDrop),
 // so callers never account energy for an actuation that did not happen.
 //
-// Decisions are recorded in a bounded audit log so examples and tests can
-// observe exactly which RAW pipelines the firewall filtered — the paper's
+// Every drop leaves one fw.drop trace event naming the deciding layer and
+// the rule, under the slot or request span that issued the command: that
+// is the record of which RAW pipelines the firewall filtered — the paper's
 // headline metaphor.
 
 #ifndef IMCF_FIREWALL_IMCF_FIREWALL_H_
 #define IMCF_FIREWALL_IMCF_FIREWALL_H_
 
 #include <cstdint>
-#include <deque>
-#include <string>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "fault/command_bus.h"
@@ -48,11 +47,10 @@ enum class DecisionReason : uint8_t {
 
 const char* DecisionReasonName(DecisionReason reason);
 
-/// One audited decision.
+/// The verdict on one command and the layer that decided it.
 struct Decision {
   Verdict verdict = Verdict::kAccept;
   DecisionReason reason = DecisionReason::kDefaultPolicy;
-  devices::ActuationCommand command;
 };
 
 /// Number of DecisionReason values (for per-reason tallies).
@@ -76,9 +74,8 @@ struct FirewallStats {
 class MetaControlFirewall {
  public:
   /// `registry` resolves device addresses for chain matching; may outlive
-  /// calls but is not owned. `audit_capacity` bounds the decision log.
-  explicit MetaControlFirewall(const devices::DeviceRegistry* registry,
-                               size_t audit_capacity = 1024);
+  /// calls but is not owned.
+  explicit MetaControlFirewall(const devices::DeviceRegistry* registry);
 
   /// Flushes accumulated FirewallStats to the default metric registry
   /// (imcf_firewall_* counters, decisions labelled by reason).
@@ -89,8 +86,9 @@ class MetaControlFirewall {
   const Chain& chain() const { return chain_; }
 
   /// Installs the planner's verdicts for the current slot: meta-rule ids
-  /// whose commands must be dropped. Replaces the previous slot's set.
-  void SetDroppedRules(std::vector<int> dropped_rule_ids);
+  /// whose commands must be dropped. Replaces the previous slot's set;
+  /// negative ids are ignored (manual commands never consult the set).
+  void SetDroppedRules(std::span<const int> dropped_rule_ids);
 
   /// Attaches fault-aware delivery: accepted commands are handed to `bus`
   /// (borrowed; may be null to detach) and undeliverable ones come back as
@@ -98,23 +96,22 @@ class MetaControlFirewall {
   void set_command_bus(fault::CommandBus* bus) { bus_ = bus; }
 
   /// Filters one command (and, with a command bus attached, delivers it),
-  /// recording the decision.
+  /// counting the decision and tracing it if it is a drop.
   Decision Filter(const devices::ActuationCommand& cmd);
 
   const FirewallStats& stats() const { return stats_; }
-  const std::deque<Decision>& audit_log() const { return audit_; }
-  void ClearAudit() { audit_.clear(); }
 
  private:
-  void Record(Decision decision);
+  void Record(const devices::ActuationCommand& cmd, Decision decision);
 
   const devices::DeviceRegistry* registry_;  // not owned
   fault::CommandBus* bus_ = nullptr;         // not owned, may be null
   Chain chain_;
-  std::unordered_set<int> dropped_rules_;
+  /// The plan filter: 1 at each dropped meta-rule id of the current slot,
+  /// sized to the slot's largest one. Refilled in place, so it stops
+  /// allocating once it has grown to the largest id seen.
+  std::vector<uint8_t> dropped_rules_;
   FirewallStats stats_;
-  std::deque<Decision> audit_;
-  size_t audit_capacity_;
 };
 
 }  // namespace firewall

@@ -228,7 +228,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
   Rng rng(MixHash(MixHash(options_.seed, static_cast<uint64_t>(rep)),
                   static_cast<uint64_t>(policy)));
   const fault::FaultPlan fault_plan(options_.fault);
-  firewall::MetaControlFirewall fw(&registry_, /*audit_capacity=*/256);
+  firewall::MetaControlFirewall fw(&registry_);
   std::unique_ptr<fault::CommandBus> bus;
   if (fault_plan.enabled()) {
     bus = std::make_unique<fault::CommandBus>(&fault_plan, options_.retry,

@@ -89,7 +89,7 @@ TEST(ConflictDifferentialTest, ChainNeverAppliesBothSidesOfAContradiction) {
                                   DeviceKind::kLight, unit, "");
     }
     MetaControlFirewall fw(&registry);
-    fw.SetDroppedRules({dropped.begin(), dropped.end()});
+    fw.SetDroppedRules(std::vector<int>(dropped.begin(), dropped.end()));
 
     auto command_of = [&](int rule_id) {
       const MetaRule& rule = *mrt.Get(rule_id).value();
