@@ -2,6 +2,8 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "common/strings.h"
 #include "controller/items.h"
@@ -15,6 +17,7 @@
 #include "firewall/imcf_firewall.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sim/slot_step.h"
 #include "trace/dataset.h"
 #include "weather/weather.h"
 
@@ -91,7 +94,7 @@ Result<PrototypeReport> PrototypeStudy::Run(
 
   // Devices, items, environment.
   devices::DeviceRegistry registry;
-  std::vector<devices::DeviceId> hvac_ids, light_ids;
+  std::vector<devices::DeviceId> group_devices;  // see sim/slot_step.h
   for (int u = 0; u < spec.units; ++u) {
     IMCF_ASSIGN_OR_RETURN(devices::DeviceId ac,
                           registry.Add(StrFormat("room%d_ac", u),
@@ -101,8 +104,8 @@ Result<PrototypeReport> PrototypeStudy::Run(
                           registry.Add(StrFormat("room%d_light", u),
                                        devices::DeviceKind::kLight, u,
                                        StrFormat("192.168.1.%d", 20 + u)));
-    hvac_ids.push_back(ac);
-    light_ids.push_back(li);
+    group_devices.push_back(ac);
+    group_devices.push_back(li);
   }
   ItemRegistry items;
   IMCF_RETURN_IF_ERROR(items.BindDevices(registry));
@@ -149,7 +152,11 @@ Result<PrototypeReport> PrototypeStudy::Run(
   double error_sum = 0.0;
   int64_t activations = 0;
   double carry = 0.0;
-  const size_t n_rules = mrt.convenience_count();
+  core::SlotProblem problem;
+  sim::InitGroups(spec.units, &problem);
+  std::vector<int> dropped;
+  std::vector<char> accepted;
+  std::vector<std::optional<double>> held(group_devices.size());
 
   VirtualScheduler scheduler(start);
 
@@ -171,37 +178,13 @@ Result<PrototypeReport> PrototypeStudy::Run(
         const SimTime midpoint = now + kSecondsPerHour / 2;
         const int minute = MinuteOfDay(midpoint);
 
-        core::SlotProblem problem;
-        problem.n_rules = static_cast<int>(n_rules);
-        problem.groups.resize(static_cast<size_t>(spec.units) * 2);
-        for (int u = 0; u < spec.units; ++u) {
-          problem.groups[static_cast<size_t>(u) * 2].ambient =
-              ambient[static_cast<size_t>(u)].IndoorTempC(midpoint);
-          problem.groups[static_cast<size_t>(u) * 2].type =
-              devices::CommandType::kSetTemperature;
-          problem.groups[static_cast<size_t>(u) * 2 + 1].ambient =
-              ambient[static_cast<size_t>(u)].IndoorLightPct(midpoint);
-          problem.groups[static_cast<size_t>(u) * 2 + 1].type =
-              devices::CommandType::kSetLight;
+        for (size_t g = 0; g < problem.groups.size(); ++g) {
+          const trace::AmbientModel& sensors = ambient[g / 2];
+          problem.groups[g].ambient = g % 2 == 1
+                                          ? sensors.IndoorLightPct(midpoint)
+                                          : sensors.IndoorTempC(midpoint);
         }
-        for (size_t i = 0; i < n_rules; ++i) {
-          const rules::MetaRule& rule = mrt.ConvenienceRule(i);
-          if (!rule.window.ContainsMinute(minute)) continue;
-          core::ActiveRule active;
-          active.rule_index = static_cast<int>(i);
-          active.group =
-              rule.unit * 2 +
-              (rule.TargetKind() == devices::DeviceKind::kLight ? 1 : 0);
-          active.desired = rule.value;
-          active.type = rule.TargetCommand();
-          const double amb =
-              problem.groups[static_cast<size_t>(active.group)].ambient;
-          active.energy_kwh =
-              models.CommandEnergyKwh(active.type, rule.value, amb, 1.0);
-          active.drop_error =
-              core::NormalizedError(active.type, rule.value, amb);
-          problem.active.push_back(active);
-        }
+        sim::ActivateRules(mrt, {&minute, 1}, models, &problem);
         const double hourly = plan.HourlyBudget(midpoint);
         problem.budget_kwh = hourly + carry;
         const core::SlotEvaluator evaluator(&problem);
@@ -223,53 +206,31 @@ Result<PrototypeReport> PrototypeStudy::Run(
           plan_span.Detail(outcome.SearchShape());
         }
 
-        // Install firewall verdicts and route the commands.
-        std::vector<int> dropped;
-        for (const core::ActiveRule& active : problem.active) {
-          if (!outcome.solution.adopted(
-                  static_cast<size_t>(active.rule_index))) {
-            dropped.push_back(
-                mrt.convenience_ids()[static_cast<size_t>(active.rule_index)]);
-          }
+        sim::EnforcePlan(problem, outcome.solution, mrt, group_devices, now,
+                         &fw, &dropped, &accepted);
+        for (size_t a = 0; a < problem.active.size(); ++a) {
+          if (accepted[a] == 0) continue;
+          const core::ActiveRule& active = problem.active[a];
+          (void)items.ApplyCommand(sim::GroupCommand(
+              group_devices, active.group, active.desired,
+              mrt.convenience_ids()[static_cast<size_t>(active.rule_index)],
+              now, "mrt"));
         }
-        fw.SetDroppedRules(dropped);
+        sim::HoldWinners(problem, accepted, mrt, minute, &held);
 
-        std::vector<const core::ActiveRule*> winner(
-            static_cast<size_t>(spec.units) * 2, nullptr);
-        for (const core::ActiveRule& active : problem.active) {
-          const rules::MetaRule& rule =
-              mrt.ConvenienceRule(static_cast<size_t>(active.rule_index));
-          devices::ActuationCommand cmd;
-          cmd.device = rule.TargetKind() == devices::DeviceKind::kHvac
-                           ? hvac_ids[static_cast<size_t>(rule.unit)]
-                           : light_ids[static_cast<size_t>(rule.unit)];
-          cmd.type = active.type;
-          cmd.value = active.desired;
-          cmd.rule_id = rule.id;
-          cmd.time = now;
-          cmd.source = "mrt";
-          if (fw.Filter(cmd).verdict == firewall::Verdict::kDrop) continue;
-          (void)items.ApplyCommand(cmd);
-          const core::ActiveRule*& w =
-              winner[static_cast<size_t>(active.group)];
-          if (w == nullptr || active.rule_index > w->rule_index) w = &active;
-        }
+        // Charge what the devices hold; each rule's error is against it.
         double slot_energy = 0.0;
-        for (const auto* w : winner) {
-          if (w != nullptr) slot_energy += w->energy_kwh;
+        for (size_t g = 0; g < problem.groups.size(); ++g) {
+          if (!held[g]) continue;
+          slot_energy += models.CommandEnergyKwh(
+              problem.groups[g].type, *held[g], problem.groups[g].ambient,
+              1.0);
         }
         for (const core::ActiveRule& active : problem.active) {
-          const core::ActiveRule* w =
-              winner[static_cast<size_t>(active.group)];
-          double err;
-          if (w == nullptr) {
-            err = active.drop_error;
-          } else if (w == &active) {
-            err = 0.0;
-          } else {
-            err = core::NormalizedError(active.type, active.desired,
-                                        w->desired);
-          }
+          const size_t g = static_cast<size_t>(active.group);
+          const double err = core::NormalizedError(
+              active.type, active.desired,
+              held[g].value_or(problem.groups[g].ambient));
           error_sum += err;
           ++activations;
           const rules::MetaRule& rule =

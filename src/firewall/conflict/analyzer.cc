@@ -1,12 +1,12 @@
 #include "firewall/conflict/analyzer.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/strings.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "rules/conflict.h"
 
 namespace imcf {
 namespace firewall {
@@ -41,24 +41,6 @@ std::optional<devices::DeviceKind> ActionDestKind(rules::RuleAction action) {
       return std::nullopt;
   }
   return std::nullopt;
-}
-
-// Minutes of the hour [hour*60, hour*60+60) covered by `window`, honouring
-// wrap-around windows.
-int MinutesOfHourInWindow(const TimeWindow& window, int hour) {
-  const int h0 = hour * 60;
-  const int h1 = h0 + 60;
-  auto overlap = [&](int a, int b) {
-    const int lo = std::max(a, h0);
-    const int hi = std::min(b, h1);
-    return std::max(0, hi - lo);
-  };
-  if (window.start_minute <= window.end_minute) {
-    return overlap(window.start_minute, window.end_minute);
-  }
-  // Wrapping window = [start, 24:00) ∪ [0:00, end).
-  return overlap(window.start_minute, kMinutesPerDay) +
-         overlap(0, window.end_minute);
 }
 
 obs::Counter* ChecksCounter() {
@@ -142,7 +124,8 @@ ConflictReport ConflictAnalyzer::Analyze(int shard, const std::string& tenant,
     for (int id : rule_set.mrt->necessity_ids()) {
       const rules::MetaRule& rule = *rule_set.mrt->Get(id).value();
       for (int hour = 0; hour < 24; ++hour) {
-        const int minutes = MinutesOfHourInWindow(rule.window, hour);
+        const int minutes = rules::WindowOverlapMinutes(
+            rule.window, TimeWindow{hour * 60, hour * 60 + 60});
         if (minutes == 0) continue;
         necessity_kwh_per_day +=
             rule_set.hourly_energy(rule, hour) * minutes / 60.0;

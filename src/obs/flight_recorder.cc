@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace imcf {
@@ -23,18 +22,6 @@ size_t ClampCapacity(size_t requested) {
   if (requested < kMinCapacity) requested = kMinCapacity;
   if (requested > kMaxCapacity) requested = kMaxCapacity;
   return RoundUpPow2(requested);
-}
-
-size_t CapacityFromEnv() {
-  const char* env = std::getenv("IMCF_TRACE_RING");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0) {
-      return ClampCapacity(static_cast<size_t>(parsed));
-    }
-  }
-  return ClampCapacity(kDefaultCapacity);
 }
 
 std::atomic<uint64_t> g_next_instance_id{1};
@@ -103,8 +90,7 @@ struct FlightRecorder::ThreadRings {
 };
 
 FlightRecorder& FlightRecorder::Default() {
-  static FlightRecorder* const recorder =
-      new FlightRecorder(CapacityFromEnv());
+  static FlightRecorder* const recorder = new FlightRecorder();
   return *recorder;
 }
 

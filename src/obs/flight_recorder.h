@@ -5,7 +5,7 @@
 // in order:
 //
 //   * Fixed memory, always on. Each writer thread owns one ring of
-//     `capacity` slots (default 8192, env IMCF_TRACE_RING). New spans
+//     `capacity` slots (default 8192). New spans
 //     overwrite the oldest (head-tail overwrite), so steady-state cost is
 //     bounded no matter how long the service runs — exactly a black-box
 //     flight recorder, dumpable after the fact. A thread that exits
@@ -72,13 +72,13 @@ struct SpanRecord {
 /// The recorder: a registry of per-thread rings.
 class FlightRecorder {
  public:
-  /// Process-wide recorder every ScopedSpan records into. Its capacity
-  /// comes from env IMCF_TRACE_RING (slots per thread, clamped to
-  /// [64, 1M], rounded up to a power of two; default 8192).
+  /// Process-wide recorder every ScopedSpan records into, with the
+  /// default capacity (8192 slots per thread).
   static FlightRecorder& Default();
 
-  /// `capacity` slots per thread ring, rounded up to a power of two
-  /// (0 selects the default). Tests build small recorders directly.
+  /// `capacity` slots per thread ring, clamped to [64, 1M] and rounded up
+  /// to a power of two (0 selects the default). Tests build small
+  /// recorders directly.
   explicit FlightRecorder(size_t capacity = 0);
   ~FlightRecorder();
 

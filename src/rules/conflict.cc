@@ -14,8 +14,6 @@ const char* ConflictKindName(ConflictKind kind) {
       return "clash";
     case ConflictKind::kShadowed:
       return "shadowed";
-    case ConflictKind::kBudgetInfeasible:
-      return "budget-infeasible";
   }
   return "?";
 }
@@ -83,57 +81,6 @@ std::vector<Conflict> FindWindowConflicts(const MetaRuleTable& table,
       }
       conflicts.push_back(std::move(conflict));
     }
-  }
-  return conflicts;
-}
-
-std::vector<Conflict> CheckBudgetFeasibility(
-    const MetaRuleTable& table, double budget_kwh, int period_days,
-    const std::function<double(const MetaRule&, int hour)>& hourly_energy) {
-  std::vector<Conflict> conflicts;
-  if (period_days <= 0 || budget_kwh <= 0.0) return conflicts;
-
-  // Forecast daily demand: for each hour, the winning rule per device plus
-  // every necessity rule.
-  double daily_demand = 0.0;
-  for (int hour = 0; hour < 24; ++hour) {
-    const int minute = hour * 60 + 30;
-    // Winner per (unit, kind): the latest active rule.
-    std::vector<const MetaRule*> winners;
-    for (size_t i = 0; i < table.convenience_count(); ++i) {
-      const MetaRule& rule = table.ConvenienceRule(i);
-      if (!rule.window.ContainsMinute(minute)) continue;
-      bool replaced = false;
-      for (const MetaRule*& w : winners) {
-        if (w->unit == rule.unit && w->TargetKind() == rule.TargetKind()) {
-          if (rule.id > w->id) w = &rule;
-          replaced = true;
-          break;
-        }
-      }
-      if (!replaced) winners.push_back(&rule);
-    }
-    for (const MetaRule* rule : winners) {
-      daily_demand += hourly_energy(*rule, hour);
-    }
-    for (int id : table.necessity_ids()) {
-      const MetaRule& rule = *table.Get(id).value();
-      if (rule.window.ContainsMinute(minute)) {
-        daily_demand += hourly_energy(rule, hour);
-      }
-    }
-  }
-
-  const double daily_budget = budget_kwh / static_cast<double>(period_days);
-  if (daily_demand > daily_budget) {
-    Conflict conflict;
-    conflict.kind = ConflictKind::kBudgetInfeasible;
-    conflict.severity = daily_demand - daily_budget;
-    conflict.description = StrFormat(
-        "forecast demand %.1f kWh/day exceeds the budget's %.1f kWh/day "
-        "(%.0f kWh over %d days): the planner will drop rules",
-        daily_demand, daily_budget, budget_kwh, period_days);
-    conflicts.push_back(std::move(conflict));
   }
   return conflicts;
 }

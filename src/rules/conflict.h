@@ -13,15 +13,14 @@
 //                 wins, the earlier one is never fully honoured.
 //   * kShadowed — same, but with (near-)equal values: the earlier rule is
 //                 redundant during the overlap.
-//   * kBudgetInfeasible — the table's forecast demand exceeds the
-//                 long-term budget, so the planner will have to drop rules
-//                 (the "meta-rule that refers to the monthly energy budget
-//                 ... will conflict with" actuation rules example).
+//
+// Budget infeasibility (the "meta-rule that refers to the monthly energy
+// budget ... will conflict with" actuation rules example) is detector (c)
+// of firewall/conflict/analyzer.h, which admission runs on every rule set.
 
 #ifndef IMCF_RULES_CONFLICT_H_
 #define IMCF_RULES_CONFLICT_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,6 @@ namespace rules {
 enum class ConflictKind : uint8_t {
   kClash = 0,
   kShadowed = 1,
-  kBudgetInfeasible = 2,
 };
 
 const char* ConflictKindName(ConflictKind kind);
@@ -45,7 +43,7 @@ struct Conflict {
   int rule_a = -1;          ///< rule id (the earlier / losing rule)
   int rule_b = -1;          ///< rule id (the later / winning rule), or -1
   int overlap_minutes = 0;  ///< daily overlap of the two windows
-  double severity = 0.0;    ///< |value difference| (clash) or kWh overrun
+  double severity = 0.0;    ///< |value difference|
   std::string description;  ///< human-readable summary
 };
 
@@ -57,14 +55,6 @@ int WindowOverlapMinutes(const TimeWindow& a, const TimeWindow& b);
 /// kClash (different values) or kShadowed (values within `value_tolerance`).
 std::vector<Conflict> FindWindowConflicts(const MetaRuleTable& table,
                                           double value_tolerance = 1e-9);
-
-/// Budget feasibility: compares the table's forecast daily demand, via the
-/// caller-supplied estimator (kWh for running `rule` during one hour at
-/// hour-of-day `hour`), against the budget's mean daily allocation. Returns
-/// a kBudgetInfeasible conflict when demand exceeds it.
-std::vector<Conflict> CheckBudgetFeasibility(
-    const MetaRuleTable& table, double budget_kwh, int period_days,
-    const std::function<double(const MetaRule&, int hour)>& hourly_energy);
 
 /// Formats a conflict report, one line per conflict.
 std::string FormatConflicts(const std::vector<Conflict>& conflicts);

@@ -13,6 +13,7 @@
 #include "obs/accounting/cost_ledger.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sim/slot_step.h"
 
 namespace imcf {
 namespace sim {
@@ -28,11 +29,6 @@ obs::Histogram* PlanWallNsHist() {
           "Wall time of one per-slot planning step",
           obs::LatencyBoundsNs());
   return hist;
-}
-
-/// Dense device-group id for (unit, kind).
-int GroupId(int unit, devices::DeviceKind kind) {
-  return unit * 2 + (kind == devices::DeviceKind::kLight ? 1 : 0);
 }
 
 /// Deterministic trace id for one (policy, rep) grid cell: a pure function
@@ -97,8 +93,8 @@ Status Simulator::Prepare() {
                           registry_.Add(StrFormat("unit%02d_light", u),
                                         devices::DeviceKind::kLight, u,
                                         StrFormat("10.0.%d.2", u)));
-    hvac_ids_.push_back(ac_id);
-    light_ids_.push_back(light_id);
+    group_devices_.push_back(ac_id);
+    group_devices_.push_back(light_id);
   }
   unit_models_.hvac = devices::HvacEnergyModel(spec.hvac);
   unit_models_.light = devices::LightEnergyModel(spec.light);
@@ -194,7 +190,6 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
   run_span.Detail(PolicyName(policy));
   run_span.Arg("rep", rep);
   const trace::DatasetSpec& spec = options_.spec;
-  const size_t n_rules = mrt_.convenience_count();
   const int n_groups = spec.units * 2;
 
   // Planner for this policy.
@@ -216,7 +211,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
       planner = std::make_unique<core::GeneticPlanner>(options_.ga);
       break;
     case Policy::kIfttt:
-      break;  // handled separately below
+      break;  // recipes, not a planner: evaluated per slot below
   }
 
   // Every slot's evaluator refills this one arena, so its columns keep
@@ -264,14 +259,14 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
 
   // Scratch reused across slots.
   core::SlotProblem problem;
-  problem.n_rules = static_cast<int>(n_rules);
-  problem.groups.resize(static_cast<size_t>(n_groups));
+  InitGroups(spec.units, &problem);
+  std::vector<int> hour_minutes;  // minute of day at each slot hour's middle
   std::vector<int> dropped_ids;
   std::vector<char> accepted;  // firewall verdict per active rule
-  std::vector<int> necessity_active;
+  std::vector<const rules::MetaRule*> necessity_active;
   std::vector<char> necessity_ok;  // firewall verdict per necessity rule
-  std::vector<const core::ActiveRule*> winner(static_cast<size_t>(n_groups),
-                                              nullptr);
+  // What each group's device holds: none (ambient) or a setpoint.
+  std::vector<std::optional<double>> held(static_cast<size_t>(n_groups));
   std::vector<rules::TriggerDecision> decisions(
       static_cast<size_t>(spec.units));
 
@@ -292,53 +287,24 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     const int64_t slot_issued_before = fw.stats().total;
     const int64_t slot_dropped_before = fw.stats().dropped();
 
-    // Hours of the slot a daily window covers (1 for hourly slots).
-    auto overlap_hours = [&](const TimeWindow& window) {
-      int overlap = 0;
-      for (int hh = h; hh < h + span; ++hh) {
-        const SimTime hour_mid =
-            ambient_->TimeOfHour(hh) + kSecondsPerHour / 2;
-        if (window.ContainsMinute(MinuteOfDay(hour_mid))) ++overlap;
-      }
-      return overlap;
-    };
+    hour_minutes.clear();
+    for (int hh = h; hh < h + span; ++hh) {
+      hour_minutes.push_back(
+          MinuteOfDay(ambient_->TimeOfHour(hh) + kSecondsPerHour / 2));
+    }
 
     // --- Planning view: the slot problem priced at the slot's *mean*
     // ambient conditions. (With hourly slots this IS the ground truth;
     // with coarser slots it is the approximation the granularity trades
     // accuracy for: one adopt/drop decision covers the whole span.)
-    problem.active.clear();
-    for (size_t g = 0; g < problem.groups.size(); ++g) {
-      const int unit = static_cast<int>(g) / 2;
-      const bool is_light = (g % 2) == 1;
+    for (int g = 0; g < n_groups; ++g) {
       double mean_ambient = 0.0;
       for (int hh = h; hh < h + span; ++hh) {
-        mean_ambient += is_light ? ambient_->light(unit, hh)
-                                 : ambient_->temp(unit, hh);
+        mean_ambient += GroupAmbient(*ambient_, g, hh);
       }
-      problem.groups[g].ambient = mean_ambient / span;
-      problem.groups[g].type = is_light ? devices::CommandType::kSetLight
-                                        : devices::CommandType::kSetTemperature;
+      problem.groups[static_cast<size_t>(g)].ambient = mean_ambient / span;
     }
-    for (size_t i = 0; i < n_rules; ++i) {
-      const rules::MetaRule& rule = mrt_.ConvenienceRule(i);
-      const int overlap = overlap_hours(rule.window);
-      if (overlap == 0) continue;
-      core::ActiveRule active;
-      active.rule_index = static_cast<int>(i);
-      active.group = GroupId(rule.unit, rule.TargetKind());
-      active.desired = rule.value;
-      active.type = rule.TargetCommand();
-      const double amb =
-          problem.groups[static_cast<size_t>(active.group)].ambient;
-      active.energy_kwh = unit_models_.CommandEnergyKwh(
-          active.type, rule.value, amb, static_cast<double>(overlap));
-      // Drop errors weigh by covered hours so a rule active all day
-      // outranks one active a single hour.
-      active.drop_error =
-          core::NormalizedError(active.type, rule.value, amb) * overlap;
-      problem.active.push_back(active);
-    }
+    ActivateRules(mrt_, hour_minutes, unit_models_, &problem);
 
     // Necessity rules: executed by every policy; their estimated load is
     // charged before the planner sees the budget.
@@ -346,7 +312,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     problem.base_energy_kwh = 0.0;
     for (int id : mrt_.necessity_ids()) {
       const rules::MetaRule& rule = *mrt_.Get(id).value();
-      const int overlap = overlap_hours(rule.window);
+      const int overlap = HoursInWindow(rule.window, hour_minutes);
       if (overlap == 0) continue;
       const int group = GroupId(rule.unit, rule.TargetKind());
       const double amb =
@@ -354,17 +320,18 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
       problem.base_energy_kwh += unit_models_.CommandEnergyKwh(
           rule.TargetCommand(), rule.value, amb,
           static_cast<double>(overlap));
-      necessity_active.push_back(id);
+      necessity_active.push_back(&rule);
     }
 
     // Slot budget: the amortized hourly allocations of the span, optionally
     // tilted toward clean-grid hours.
     double slot_budget = 0.0;
-    for (int hh = h; hh < h + span; ++hh) {
+    for (int k = 0; k < span; ++k) {
+      const int hh = h + k;
       const SimTime hour_mid = ambient_->TimeOfHour(hh) + kSecondsPerHour / 2;
       double hourly = plan_->HourlyBudget(hour_mid);
       if (options_.carbon_alpha > 0.0) {
-        const int hour_of_day = MinuteOfDay(hour_mid) / 60;
+        const int hour_of_day = hour_minutes[static_cast<size_t>(k)] / 60;
         if (hour_of_day == 0 || hh == 0) {
           carbon_tilt = energy::CarbonTiltWeights(
               carbon,
@@ -377,12 +344,11 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     }
     problem.budget_kwh =
         options_.carryover ? slot_budget + carry : slot_budget;
-    const core::SlotEvaluator evaluator(&problem, plan_arena);
 
     // --- Decision: plan (or evaluate recipes) and route commands through
     // the firewall.
-    accepted.assign(problem.active.size(), 0);
-    if (policy == Policy::kIfttt) {
+    size_t adopted = problem.active.size();  // IFTTT ignores the MRT
+    if (planner == nullptr) {
       {
         obs::ScopedSpan plan_span("plan.search", "core", plan_sinks);
         for (int u = 0; u < spec.units; ++u) {
@@ -397,36 +363,22 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
               ifttt_.Evaluate(ctx, options_.ifttt_policy);
         }
       }
-      for (int u = 0; u < spec.units; ++u) {
-        const rules::TriggerDecision& d = decisions[static_cast<size_t>(u)];
-        if (d.temperature) {
-          devices::ActuationCommand cmd;
-          cmd.device = hvac_ids_[static_cast<size_t>(u)];
-          cmd.type = devices::CommandType::kSetTemperature;
-          cmd.value = *d.temperature;
-          cmd.time = slot_time;
-          cmd.source = "ifttt";
-          if (fw.Filter(cmd).verdict == firewall::Verdict::kDrop) {
-            decisions[static_cast<size_t>(u)].temperature.reset();
-          }
-        }
-        if (d.light) {
-          devices::ActuationCommand cmd;
-          cmd.device = light_ids_[static_cast<size_t>(u)];
-          cmd.type = devices::CommandType::kSetLight;
-          cmd.value = *d.light;
-          cmd.time = slot_time;
-          cmd.source = "ifttt";
-          if (fw.Filter(cmd).verdict == firewall::Verdict::kDrop) {
-            decisions[static_cast<size_t>(u)].light.reset();
-          }
-        }
-      }
-      if (!problem.active.empty()) {
-        ++slots_with_active;
-        adopted_fraction_sum += 1.0;  // IFTTT executes regardless of the MRT
+      // A recipe's setpoint holds for the whole slot once the firewall
+      // lets its command through.
+      for (int g = 0; g < n_groups; ++g) {
+        const rules::TriggerDecision& d =
+            decisions[static_cast<size_t>(g / 2)];
+        const std::optional<double>& setpoint =
+            g % 2 == 1 ? d.light : d.temperature;
+        const bool executes =
+            setpoint.has_value() &&
+            fw.Filter(GroupCommand(group_devices_, g, *setpoint, -1,
+                                   slot_time, "ifttt"))
+                    .verdict == firewall::Verdict::kAccept;
+        held[static_cast<size_t>(g)] = executes ? setpoint : std::nullopt;
       }
     } else {
+      const core::SlotEvaluator evaluator(&problem, plan_arena);
       core::PlanOutcome outcome;
       {
         obs::ScopedSpan plan_span(
@@ -439,45 +391,13 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
         plan_span.Arg("accepted", outcome.moves_accepted);
         plan_span.Detail(outcome.SearchShape());
       }
-
-      dropped_ids.clear();
-      for (const core::ActiveRule& active : problem.active) {
-        if (!outcome.solution.adopted(
-                static_cast<size_t>(active.rule_index))) {
-          dropped_ids.push_back(
-              mrt_.convenience_ids()[static_cast<size_t>(active.rule_index)]);
-        }
-      }
-      fw.SetDroppedRules(dropped_ids);
-
-      // One command per active rule; the firewall enforces the plan.
-      size_t adopted_active = 0;
-      for (size_t a = 0; a < problem.active.size(); ++a) {
-        const core::ActiveRule& active = problem.active[a];
-        const rules::MetaRule& rule =
-            mrt_.ConvenienceRule(static_cast<size_t>(active.rule_index));
-        devices::ActuationCommand cmd;
-        cmd.device = rule.TargetKind() == devices::DeviceKind::kHvac
-                         ? hvac_ids_[static_cast<size_t>(rule.unit)]
-                         : light_ids_[static_cast<size_t>(rule.unit)];
-        cmd.type = active.type;
-        cmd.value = active.desired;
-        cmd.rule_id = rule.id;
-        cmd.time = slot_time;
-        cmd.source = "mrt";
-        if (fw.Filter(cmd).verdict == firewall::Verdict::kAccept) {
-          accepted[a] = 1;
-        }
-        if (outcome.solution.adopted(
-                static_cast<size_t>(active.rule_index))) {
-          ++adopted_active;
-        }
-      }
-      if (!problem.active.empty()) {
-        ++slots_with_active;
-        adopted_fraction_sum += static_cast<double>(adopted_active) /
-                                static_cast<double>(problem.active.size());
-      }
+      adopted = EnforcePlan(problem, outcome.solution, mrt_, group_devices_,
+                            slot_time, &fw, &dropped_ids, &accepted);
+    }
+    if (!problem.active.empty()) {
+      ++slots_with_active;
+      adopted_fraction_sum += static_cast<double>(adopted) /
+                              static_cast<double>(problem.active.size());
     }
 
     // Necessity commands, once per slot; only an admin chain rule (or an
@@ -485,19 +405,12 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     // charged as if it actuated.
     necessity_ok.assign(necessity_active.size(), 0);
     for (size_t ni = 0; ni < necessity_active.size(); ++ni) {
-      const rules::MetaRule& rule = *mrt_.Get(necessity_active[ni]).value();
-      devices::ActuationCommand cmd;
-      cmd.device = rule.TargetKind() == devices::DeviceKind::kHvac
-                       ? hvac_ids_[static_cast<size_t>(rule.unit)]
-                       : light_ids_[static_cast<size_t>(rule.unit)];
-      cmd.type = rule.TargetCommand();
-      cmd.value = rule.value;
-      cmd.rule_id = rule.id;
-      cmd.time = slot_time;
-      cmd.source = "mrt-necessity";
-      if (fw.Filter(cmd).verdict == firewall::Verdict::kAccept) {
-        necessity_ok[ni] = 1;
-      }
+      const rules::MetaRule& rule = *necessity_active[ni];
+      const devices::ActuationCommand cmd =
+          GroupCommand(group_devices_, GroupId(rule.unit, rule.TargetKind()),
+                       rule.value, rule.id, slot_time, "mrt-necessity");
+      necessity_ok[ni] =
+          fw.Filter(cmd).verdict == firewall::Verdict::kAccept;
     }
 
     // Per-slot firewall verdict summary on the slot span (the per-drop
@@ -509,82 +422,33 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
     // With hourly slots this coincides with the planning view; with
     // coarser slots it measures what the coarse plan actually causes.
     double slot_energy = 0.0;
-    for (int hh = h; hh < h + span; ++hh) {
+    for (int k = 0; k < span; ++k) {
+      const int hh = h + k;
+      const int hour_minute = hour_minutes[static_cast<size_t>(k)];
       const SimTime hour_mid = ambient_->TimeOfHour(hh) + kSecondsPerHour / 2;
-      const int hour_minute = MinuteOfDay(hour_mid);
-      double hour_energy = 0.0;
-
-      std::fill(winner.begin(), winner.end(), nullptr);
-      for (size_t a = 0; a < problem.active.size(); ++a) {
-        const core::ActiveRule& active = problem.active[a];
-        const rules::MetaRule& rule =
-            mrt_.ConvenienceRule(static_cast<size_t>(active.rule_index));
-        if (!rule.window.ContainsMinute(hour_minute)) continue;
-        bool executes;
-        if (policy == Policy::kIfttt) {
-          executes = false;  // IFTTT actuation handled per unit below
-        } else {
-          executes = accepted[a] != 0;
-        }
-        if (executes) {
-          const core::ActiveRule*& w =
-              winner[static_cast<size_t>(active.group)];
-          if (w == nullptr || active.rule_index > w->rule_index) w = &active;
-        }
+      // A planner's devices hold the hour's winners; IFTTT's hold the
+      // slot's recipe setpoints, set above.
+      if (planner != nullptr) {
+        HoldWinners(problem, accepted, mrt_, hour_minute, &held);
       }
 
-      if (policy == Policy::kIfttt) {
-        // IFTTT holds its decision for the whole slot on every unit.
-        for (int u = 0; u < spec.units; ++u) {
-          const rules::TriggerDecision& d =
-              decisions[static_cast<size_t>(u)];
-          if (d.temperature) {
-            hour_energy += unit_models_.CommandEnergyKwh(
-                devices::CommandType::kSetTemperature, *d.temperature,
-                ambient_->temp(u, hh), 1.0);
-          }
-          if (d.light) {
-            hour_energy += unit_models_.CommandEnergyKwh(
-                devices::CommandType::kSetLight, *d.light,
-                ambient_->light(u, hh), 1.0);
-          }
-        }
-      } else {
-        for (int g = 0; g < n_groups; ++g) {
-          const core::ActiveRule* w = winner[static_cast<size_t>(g)];
-          if (w == nullptr) continue;
-          const int unit = g / 2;
-          const double amb = (g % 2) == 1 ? ambient_->light(unit, hh)
-                                          : ambient_->temp(unit, hh);
-          hour_energy +=
-              unit_models_.CommandEnergyKwh(w->type, w->desired, amb, 1.0);
-        }
+      double hour_energy = 0.0;
+      for (int g = 0; g < n_groups; ++g) {
+        const std::optional<double>& setpoint = held[static_cast<size_t>(g)];
+        if (!setpoint) continue;
+        hour_energy += unit_models_.CommandEnergyKwh(
+            GroupCommandType(g), *setpoint, GroupAmbient(*ambient_, g, hh),
+            1.0);
       }
 
       // Convenience error vs what the devices actually hold this hour.
-      for (size_t a = 0; a < problem.active.size(); ++a) {
-        const core::ActiveRule& active = problem.active[a];
+      for (const core::ActiveRule& active : problem.active) {
         const rules::MetaRule& rule =
             mrt_.ConvenienceRule(static_cast<size_t>(active.rule_index));
         if (!rule.window.ContainsMinute(hour_minute)) continue;
-        const int unit = active.group / 2;
-        const double amb = (active.group % 2) == 1
-                               ? ambient_->light(unit, hh)
-                               : ambient_->temp(unit, hh);
-        double actual = amb;
-        if (policy == Policy::kIfttt) {
-          const rules::TriggerDecision& d =
-              decisions[static_cast<size_t>(unit)];
-          const std::optional<double>& setpoint =
-              active.type == devices::CommandType::kSetTemperature
-                  ? d.temperature
-                  : d.light;
-          if (setpoint) actual = *setpoint;
-        } else {
-          const core::ActiveRule* w =
-              winner[static_cast<size_t>(active.group)];
-          if (w != nullptr) actual = w->desired;
-        }
+        const double amb = GroupAmbient(*ambient_, active.group, hh);
+        const double actual =
+            held[static_cast<size_t>(active.group)].value_or(amb);
         error_sum += core::NormalizedError(active.type, active.desired,
                                            actual);
         ++activations;
@@ -595,14 +459,10 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
       // never moved, so no energy is charged and the full ambient gap
       // counts as convenience error.
       for (size_t ni = 0; ni < necessity_active.size(); ++ni) {
-        const rules::MetaRule& rule =
-            *mrt_.Get(necessity_active[ni]).value();
+        const rules::MetaRule& rule = *necessity_active[ni];
         if (!rule.window.ContainsMinute(hour_minute)) continue;
-        const int unit = rule.unit;
-        const double amb =
-            rule.TargetKind() == devices::DeviceKind::kLight
-                ? ambient_->light(unit, hh)
-                : ambient_->temp(unit, hh);
+        const double amb = GroupAmbient(
+            *ambient_, GroupId(rule.unit, rule.TargetKind()), hh);
         if (necessity_ok[ni] != 0) {
           hour_energy += unit_models_.CommandEnergyKwh(
               rule.TargetCommand(), rule.value, amb, 1.0);

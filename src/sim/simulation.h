@@ -217,10 +217,9 @@ class Simulator {
   double total_budget_ = 0.0;
   SimTime start_ = 0;
   int hours_ = 0;
-  /// Per-unit device ids, precomputed so the hot loop avoids registry
-  /// scans: hvac_ids_[u] / light_ids_[u].
-  std::vector<devices::DeviceId> hvac_ids_;
-  std::vector<devices::DeviceId> light_ids_;
+  /// Device id per device group (sim/slot_step.h), precomputed so the hot
+  /// loop avoids registry scans.
+  std::vector<devices::DeviceId> group_devices_;
 
   Status RebuildPlan();
 };

@@ -231,6 +231,27 @@ TEST(ConflictAnalyzerTest, NecessityDemandOverBudgetRejects) {
   EXPECT_NEAR(report.findings[0].severity, 14.0, 1e-6);  // 24 - 10
 }
 
+TEST(ConflictAnalyzerTest, WrappingPartialHourNecessityWindowWeighsMinutes) {
+  MetaRuleTable mrt;
+  // 22:30-06:15 wraps midnight and starts and ends mid-hour.
+  ASSERT_TRUE(mrt.Add(TempRule(0, 22.0, 22 * 60 + 30, 6 * 60 + 15,
+                               /*necessity=*/true))
+                  .ok());
+  TriggerRuleTable ifttt;
+  TenantRuleSet rule_set = RuleSetFor(&mrt, &ifttt, /*budget_kwh=*/10.0,
+                                      /*period_days=*/1);
+  // (1 + hour) kW, so each hour's share is visible in the sum:
+  // hours 0-5 in full (21 kWh), 06:00-06:15 (7/4), 22:30-23:00 (23/2)
+  // and 23:00-24:00 (24) make 58.25 kWh/day.
+  rule_set.hourly_energy = [](const MetaRule&, int hour) {
+    return 1.0 + hour;
+  };
+  ConflictAnalyzer analyzer(1);
+  const ConflictReport report = analyzer.Analyze(0, "night", rule_set);
+  ASSERT_EQ(report.CountOf(ConflictClass::kBudgetInfeasible), 1);
+  EXPECT_DOUBLE_EQ(report.findings[0].severity, 48.25);  // 58.25 - 10
+}
+
 TEST(ConflictAnalyzerTest, ConvenienceDemandAloneNeverRejects) {
   MetaRuleTable mrt;
   // Same demand but droppable: the planner can shed it, so the lower

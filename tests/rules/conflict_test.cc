@@ -80,52 +80,8 @@ TEST(ConflictTest, VariedDormTablesHaveClashes) {
   const auto conflicts = FindWindowConflicts(dorms);
   EXPECT_GT(conflicts.size(), 10u);
   for (const Conflict& conflict : conflicts) {
-    EXPECT_NE(conflict.kind, ConflictKind::kBudgetInfeasible);
     EXPECT_GT(conflict.overlap_minutes, 0);
   }
-}
-
-TEST(BudgetFeasibilityTest, FlagsOverCommittedTable) {
-  const MetaRuleTable table = FlatMrt();
-  // Every rule-hour costs 1 kWh: Table II covers 39 rule-hours/day, but
-  // winners only (21 temp + 18 light are disjoint) => 39 kWh/day.
-  const auto energy = [](const MetaRule&, int) { return 1.0; };
-  // Budget 30 kWh/day: infeasible.
-  const auto bad = CheckBudgetFeasibility(table, 300.0, 10, energy);
-  ASSERT_EQ(bad.size(), 1u);
-  EXPECT_EQ(bad[0].kind, ConflictKind::kBudgetInfeasible);
-  EXPECT_NEAR(bad[0].severity, 9.0, 1e-9);
-  // Budget 50 kWh/day: fine.
-  EXPECT_TRUE(CheckBudgetFeasibility(table, 500.0, 10, energy).empty());
-}
-
-TEST(BudgetFeasibilityTest, WinnersNotDoubleCounted) {
-  MetaRuleTable table;
-  ASSERT_TRUE(table.Add(TempRule("A", 8, 16, 22.0)).ok());
-  ASSERT_TRUE(table.Add(TempRule("B", 8, 16, 24.0)).ok());  // same device
-  const auto energy = [](const MetaRule&, int) { return 1.0; };
-  // Only the winner runs: 8 kWh/day, so a 9 kWh/day budget is feasible.
-  EXPECT_TRUE(CheckBudgetFeasibility(table, 90.0, 10, energy).empty());
-  // 7 kWh/day is not.
-  EXPECT_EQ(CheckBudgetFeasibility(table, 70.0, 10, energy).size(), 1u);
-}
-
-TEST(BudgetFeasibilityTest, NecessityRulesCounted) {
-  MetaRuleTable table;
-  MetaRule necessity = TempRule("Server Room", 0, 24, 18.0);
-  necessity.necessity = true;
-  ASSERT_TRUE(table.Add(necessity).ok());
-  const auto energy = [](const MetaRule&, int) { return 1.0; };
-  // 24 kWh/day of necessity load vs 20 kWh/day budget.
-  const auto conflicts = CheckBudgetFeasibility(table, 200.0, 10, energy);
-  ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_NEAR(conflicts[0].severity, 4.0, 1e-9);
-}
-
-TEST(BudgetFeasibilityTest, DegenerateInputs) {
-  const auto energy = [](const MetaRule&, int) { return 1.0; };
-  EXPECT_TRUE(CheckBudgetFeasibility(FlatMrt(), 0.0, 10, energy).empty());
-  EXPECT_TRUE(CheckBudgetFeasibility(FlatMrt(), 100.0, 0, energy).empty());
 }
 
 TEST(FormatConflictsTest, Readable) {
@@ -141,8 +97,6 @@ TEST(FormatConflictsTest, Readable) {
 TEST(ConflictKindTest, Names) {
   EXPECT_STREQ(ConflictKindName(ConflictKind::kClash), "clash");
   EXPECT_STREQ(ConflictKindName(ConflictKind::kShadowed), "shadowed");
-  EXPECT_STREQ(ConflictKindName(ConflictKind::kBudgetInfeasible),
-               "budget-infeasible");
 }
 
 }  // namespace
