@@ -2,7 +2,8 @@
 // slot evaluation, k-flip delta evaluation, per-slot planning at several
 // rule-table sizes, firewall filtering, trace generation and the weather /
 // ambient models. These back the F_T claims of Fig. 6 with component-level
-// numbers. BM_TracedSpan prices the one timing primitive itself.
+// numbers. BM_TracedSpan prices the one timing primitive itself, and
+// BM_SimRun one whole faulted dorms plan.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,8 @@
 #include "obs/accounting/cost_ledger.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "serve/tenant_registry.h"
+#include "sim/simulation.h"
 #include "trace/dataset.h"
 #include "trace/generator.h"
 #include "weather/weather.h"
@@ -223,6 +226,41 @@ void BM_FirewallFilterFaulted(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FirewallFilterFaulted)->Name("BM_FirewallFilter/faulted");
+
+// One 24-hour EP run of the wire benchmark's dorms tenant config (dataset
+// dorms, seed 4) under its fault plan (seed 7, 20% transient errors per
+// attempt), inside a recorded root span as a fleet plan runs. Repetitions
+// cycle through 1000 seeds; Prepare is outside the timed loop.
+void BM_SimRunDormsFaulted(benchmark::State& state) {
+  serve::TenantConfig config;
+  config.id = "dorms4";
+  config.dataset = "dorms";
+  config.seed = 4;
+  sim::SimulationOptions options;
+  options.spec = *serve::SpecForConfig(config);
+  options.start = trace::EvaluationStart();
+  options.hours = 24;
+  options.seed = 4;
+  options.fault.enabled = true;
+  options.fault.seed = 7;
+  options.fault.device.transient_error_prob = 0.2;
+  sim::Simulator sim(options);
+  if (!sim.Prepare().ok()) {
+    state.SkipWithError("Prepare failed");
+    return;
+  }
+  int rep = 0;
+  for (auto _ : state) {
+    obs::ScopedSpan root("bench.run", "bench",
+                         obs::Tracer::Root(static_cast<uint64_t>(rep) + 1));
+    benchmark::DoNotOptimize(sim.Run(sim::Policy::kEnergyPlanner, rep));
+    rep = (rep + 1) % 1000;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimRunDormsFaulted)
+    ->Name("BM_SimRun/dorms_faulted")
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_WeatherSample(benchmark::State& state) {
   weather::SyntheticWeather weather;

@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <initializer_list>
 
 namespace imcf {
 
@@ -33,13 +34,17 @@ double Rng::Gaussian(double mean, double stddev) {
 
 Rng Rng::Fork() { return Rng(Next()); }
 
-uint64_t MixHash(uint64_t x) {
-  uint64_t state = x;
-  return SplitMix64(&state);
-}
+uint64_t ChannelHash(std::string_view text) { return ChannelHash(text, {}); }
 
-uint64_t MixHash(uint64_t a, uint64_t b) {
-  return MixHash(a ^ (MixHash(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+uint64_t ChannelHash(std::string_view prefix, std::string_view suffix) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const std::string_view part : {prefix, suffix}) {
+    for (const char c : part) {
+      h ^= static_cast<uint8_t>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  return MixHash(h);
 }
 
 }  // namespace imcf

@@ -10,13 +10,16 @@
 // The integer paths (Next / UniformInt) are defined inline: the planners
 // draw several bounded integers per move, and out-of-line calls would both
 // cost the call and hide the loop-invariant `limit` computation (one 64-bit
-// division) from the optimizer. The algorithms are fixed — any change to
-// the draw sequence breaks every seeded witness in the repo.
+// division) from the optimizer. MixHash is inline for the same reason: the
+// fault path calls it several times per delivered command. The algorithms
+// are fixed — any change to the draw sequence or a hash breaks every seeded
+// witness in the repo.
 
 #ifndef IMCF_COMMON_RNG_H_
 #define IMCF_COMMON_RNG_H_
 
 #include <cstdint>
+#include <string_view>
 
 namespace imcf {
 
@@ -91,10 +94,27 @@ class Rng {
 
 /// Stateless 64-bit mix of the input (splitmix64 finalizer). Used to derive
 /// deterministic per-entity seeds, e.g. hash of (base_seed, unit, hour).
-uint64_t MixHash(uint64_t x);
+inline uint64_t MixHash(uint64_t x) {
+  uint64_t z = x + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Combines two values into one hash deterministically.
-uint64_t MixHash(uint64_t a, uint64_t b);
+inline uint64_t MixHash(uint64_t a, uint64_t b) {
+  return MixHash(a ^
+                 (MixHash(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+}
+
+/// Stable 64-bit hash of a string: FNV-1a over its bytes, then one MixHash
+/// for avalanche. The repo's one string hash — fault channels and retry
+/// tokens, tenant shard placement and the tenant table — so its values are
+/// part of the determinism contract.
+uint64_t ChannelHash(std::string_view text);
+
+/// ChannelHash of `prefix` followed by `suffix`, without joining them.
+uint64_t ChannelHash(std::string_view prefix, std::string_view suffix);
 
 }  // namespace imcf
 

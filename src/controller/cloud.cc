@@ -60,7 +60,7 @@ bool CloudMetaController::ProbeAvailable(const std::string& name,
                                          SimTime probe_time) {
   if (!fault_plan_.enabled()) return true;
   const std::string channel = "cmc:" + name;
-  const uint64_t token = MixHash(fault::ChannelHash(channel),
+  const uint64_t token = MixHash(ChannelHash(channel),
                                  static_cast<uint64_t>(probe_time));
   const fault::RetryTrace trace = fault::RunWithRetry(
       options_.retry, token, probe_time, [&](SimTime when) {

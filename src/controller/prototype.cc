@@ -154,6 +154,12 @@ Result<PrototypeReport> PrototypeStudy::Run(
   double carry = 0.0;
   core::SlotProblem problem;
   sim::InitGroups(spec.units, &problem);
+  // The planner job runs on the hour and plans for the hour's middle, so
+  // it asks about 24 minutes of day.
+  std::vector<int> hour_minutes;
+  for (int h = 0; h < 24; ++h) hour_minutes.push_back(h * 60 + 30);
+  const sim::MinuteBuckets hour_buckets(mrt, hour_minutes);
+  std::vector<int> rule_hours;
   std::vector<int> dropped;
   std::vector<char> accepted;
   std::vector<std::optional<double>> held(group_devices.size());
@@ -184,7 +190,8 @@ Result<PrototypeReport> PrototypeStudy::Run(
                                           ? sensors.IndoorLightPct(midpoint)
                                           : sensors.IndoorTempC(midpoint);
         }
-        sim::ActivateRules(mrt, {&minute, 1}, models, &problem);
+        sim::ActivateRules(mrt, hour_buckets, {&minute, 1}, models, &problem,
+                           &rule_hours);
         const double hourly = plan.HourlyBudget(midpoint);
         problem.budget_kwh = hourly + carry;
         const core::SlotEvaluator evaluator(&problem);

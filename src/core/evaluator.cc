@@ -74,6 +74,8 @@ SlotEvaluator::SlotEvaluator(const SlotProblem* problem, PlanArena* arena)
     group_of_rule[rule.rule_index] = rule.group;
   }
   for (int32_t g = 0; g < n_groups_; ++g) {
+    // Most groups hold zero or one member; those are already in order.
+    if (group_off[g + 1] - group_off[g] < 2) continue;
     std::sort(member_active + group_off[g], member_active + group_off[g + 1],
               [problem](int32_t a, int32_t b) {
                 return problem->active[static_cast<size_t>(a)].rule_index >

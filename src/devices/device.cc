@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace imcf {
@@ -40,6 +41,7 @@ Result<DeviceId> DeviceRegistry::Add(std::string name, DeviceKind kind,
   Thing t;
   t.id = static_cast<DeviceId>(things_.size());
   t.name = std::move(name);
+  t.channel_hash = ChannelHash("device:", t.name);
   t.kind = kind;
   t.unit = unit;
   t.address = std::move(address);

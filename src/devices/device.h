@@ -38,6 +38,9 @@ struct Thing {
   DeviceKind kind = DeviceKind::kHvac;
   int unit = 0;            ///< building unit (apartment / zone) index
   std::string address;     ///< e.g. "192.168.0.5" (used by the firewall)
+  /// ChannelHash("device:" + name), stored at registration so the command
+  /// bus's fault channel costs no string hash per delivery.
+  uint64_t channel_hash = 0;
 };
 
 /// Registry of all Things in a smart space. Ids are dense and stable, so

@@ -66,28 +66,34 @@ Delivery CommandBus::Deliver(const devices::ActuationCommand& cmd) {
     return delivery;
   }
 
-  // The channel is "device:<thing-name>", or "device:#<id>" for a device
-  // the registry does not name. It is hashed from its two parts, once per
-  // delivery: the name stays in the registry and the id text on the stack.
+  // The channel is "device:<thing-name>", whose hash the registry stored
+  // when the device was added, or "device:#<id>" for a device the registry
+  // does not name, hashed here from its two parts. The channel's fault keys
+  // are derived once per delivery, not per attempt.
   constexpr std::string_view kDevicePrefix = "device:";
   std::string_view name;
+  uint64_t channel = 0;
   if (registry_ != nullptr) {
     auto thing = registry_->Get(cmd.device);
-    if (thing.ok()) name = (*thing)->name;
+    if (thing.ok()) {
+      name = (*thing)->name;
+      channel = (*thing)->channel_hash;
+    }
   }
   char id_text[16] = {'#'};
   if (name.empty()) {
     const char* const end =
         std::to_chars(id_text + 1, std::end(id_text), cmd.device).ptr;
     name = std::string_view(id_text, static_cast<size_t>(end - id_text));
+    channel = ChannelHash(kDevicePrefix, name);
   }
-  const uint64_t channel = ChannelHash(kDevicePrefix, name);
-  const FaultRates& rates = plan_->options().device;
+  const ChannelFaults faults =
+      plan_->ForChannel(channel, plan_->options().device);
 
   const uint64_t token = MixHash(channel, static_cast<uint64_t>(cmd.time));
   const RetryTrace trace =
       RunWithRetry(policy_, token, cmd.time, [&](SimTime when) {
-        const FaultDecision decision = plan_->AtHashed(channel, rates, when);
+        const FaultDecision decision = faults.At(when);
         if (decision.faulted()) {
           ++stats_.faults[static_cast<size_t>(decision.kind)];
         }

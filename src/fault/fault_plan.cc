@@ -1,7 +1,5 @@
 #include "fault/fault_plan.h"
 
-#include <initializer_list>
-
 #include "common/rng.h"
 
 namespace imcf {
@@ -62,23 +60,6 @@ FaultOptions FaultOptions::UniformRate(double rate, uint64_t seed) {
   return options;
 }
 
-uint64_t ChannelHash(std::string_view channel) {
-  return ChannelHash(channel, {});
-}
-
-uint64_t ChannelHash(std::string_view prefix, std::string_view suffix) {
-  // FNV-1a over the bytes of both parts, then one splitmix finalizer for
-  // avalanche.
-  uint64_t h = 1469598103934665603ULL;
-  for (const std::string_view part : {prefix, suffix}) {
-    for (const char c : part) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ULL;
-    }
-  }
-  return MixHash(h);
-}
-
 const FaultRates& FaultPlan::RatesFor(std::string_view channel) const {
   if (channel.substr(0, 7) == "device:") return options_.device;
   if (channel.substr(0, 4) == "cmc:") return options_.cmc;
@@ -89,21 +70,31 @@ FaultDecision FaultPlan::At(std::string_view channel, SimTime t) const {
   if (!options_.enabled) return {};
   const FaultRates& rates = RatesFor(channel);
   if (rates.zero()) return {};
-  return AtHashed(ChannelHash(channel), rates, t);
+  return ForChannel(ChannelHash(channel), rates).At(t);
 }
 
-FaultDecision FaultPlan::AtHashed(uint64_t channel_hash,
-                                  const FaultRates& rates, SimTime t) const {
+ChannelFaults FaultPlan::ForChannel(uint64_t channel_hash,
+                                    const FaultRates& rates) const {
+  ChannelFaults faults;
+  if (!options_.enabled || rates.zero()) return faults;
+  faults.rates_ = &rates;
+  faults.attempt_key_ = MixHash(options_.seed ^ kAttemptDomain, channel_hash);
+  if (rates.stuck_prob > 0.0) {
+    faults.stuck_key_ = MixHash(options_.seed ^ kStuckDomain, channel_hash);
+  }
+  return faults;
+}
+
+FaultDecision ChannelFaults::At(SimTime t) const {
   FaultDecision decision;
-  if (!options_.enabled || rates.zero()) return decision;
+  if (rates_ == nullptr) return decision;
+  const FaultRates& rates = *rates_;
 
   // Stuck windows first: a stuck device swallows everything for the whole
   // window, which is what distinguishes it from a per-attempt fault.
   if (rates.stuck_prob > 0.0) {
     const int64_t window = WindowIndex(t, rates.stuck_window_seconds);
-    const uint64_t hw =
-        MixHash(MixHash(options_.seed ^ kStuckDomain, channel_hash),
-                static_cast<uint64_t>(window));
+    const uint64_t hw = MixHash(stuck_key_, static_cast<uint64_t>(window));
     if (ToUniform(hw) < rates.stuck_prob) {
       decision.kind = FaultKind::kStuck;
       return decision;
@@ -111,10 +102,7 @@ FaultDecision FaultPlan::AtHashed(uint64_t channel_hash,
   }
 
   // Per-attempt faults: one uniform draw sliced into disjoint intervals.
-  const uint64_t ha =
-      MixHash(MixHash(options_.seed ^ kAttemptDomain, channel_hash),
-              static_cast<uint64_t>(t));
-  const double u = ToUniform(ha);
+  const double u = ToUniform(MixHash(attempt_key_, static_cast<uint64_t>(t)));
   double edge = rates.drop_prob;
   if (u < edge) {
     decision.kind = FaultKind::kDrop;

@@ -90,6 +90,25 @@ struct FaultDecision {
   bool faulted() const { return kind != FaultKind::kNone; }
 };
 
+/// One channel's fault schedule. FaultPlan::ForChannel derives its keys
+/// from (seed, channel hash) once, so each attempt's decision is one hash
+/// (and one more for the stuck-window check when stuck_prob > 0).
+class ChannelFaults {
+ public:
+  /// A schedule that never faults.
+  ChannelFaults() = default;
+
+  /// The decision for one attempt at `t`; equals FaultPlan::At on the
+  /// channel this schedule was derived for.
+  FaultDecision At(SimTime t) const;
+
+ private:
+  friend class FaultPlan;
+  const FaultRates* rates_ = nullptr;  // null: never faults
+  uint64_t attempt_key_ = 0;
+  uint64_t stuck_key_ = 0;  // derived iff rates_->stuck_prob > 0
+};
+
 /// The seedable, deterministic fault schedule.
 class FaultPlan {
  public:
@@ -105,25 +124,18 @@ class FaultPlan {
   /// instances, and threads.
   FaultDecision At(std::string_view channel, SimTime t) const;
 
-  /// The same decision for a channel the caller already resolved:
-  /// `channel_hash` is its ChannelHash and `rates` the options' rates for
-  /// its class. The command bus hashes a device channel once per delivery
-  /// and calls this once per attempt.
-  FaultDecision AtHashed(uint64_t channel_hash, const FaultRates& rates,
-                         SimTime t) const;
+  /// The schedule of a channel the caller already resolved: `channel_hash`
+  /// is its ChannelHash and `rates` the options' rates for its class
+  /// (borrowed; the plan's own rates outlive any caller). The command bus
+  /// derives one per delivery and asks it once per attempt.
+  ChannelFaults ForChannel(uint64_t channel_hash,
+                           const FaultRates& rates) const;
 
  private:
   const FaultRates& RatesFor(std::string_view channel) const;
 
   FaultOptions options_{};
 };
-
-/// Stable 64-bit hash of a channel name (exposed so retry tokens can be
-/// derived from the same key space).
-uint64_t ChannelHash(std::string_view channel);
-
-/// ChannelHash of `prefix` followed by `suffix`, without joining them.
-uint64_t ChannelHash(std::string_view prefix, std::string_view suffix);
 
 }  // namespace fault
 }  // namespace imcf

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "firewall/conflict/dataflow_policy.h"
 #include "obs/tracer.h"
@@ -83,7 +84,7 @@ TenantRegistry::TenantRegistry(int shards, fault::FaultOptions fault,
 int TenantRegistry::ShardOf(const TenantId& id) const {
   // ChannelHash is the repo's stable string hash (same value on every
   // platform/run), so shard placement is part of the determinism contract.
-  return static_cast<int>(fault::ChannelHash(id) %
+  return static_cast<int>(ChannelHash(id) %
                           static_cast<uint64_t>(shards_.size()));
 }
 

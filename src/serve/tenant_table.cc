@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "fault/fault_plan.h"
+#include "common/rng.h"
 
 namespace imcf {
 namespace serve {
@@ -14,7 +14,7 @@ constexpr size_t kInitialSlots = 16;
 
 size_t TenantTable::FindSlot(const TenantId& id) const {
   if (slots_.empty()) return SIZE_MAX;
-  const uint64_t hash = fault::ChannelHash(id);
+  const uint64_t hash = ChannelHash(id);
   size_t index = static_cast<size_t>(hash) & mask_;
   size_t distance = 0;
   while (true) {
@@ -44,7 +44,7 @@ bool TenantTable::Insert(const TenantId& id, std::shared_ptr<Tenant> value) {
   if (FindSlot(id) != SIZE_MAX) return false;
 
   Slot incoming;
-  incoming.hash = fault::ChannelHash(id);
+  incoming.hash = ChannelHash(id);
   incoming.used = true;
   incoming.key = id;
   incoming.value = std::move(value);

@@ -9,7 +9,7 @@
 // linearly with robin-hood displacement:
 //
 //   - the probe sequence touches consecutive cache lines, not tree nodes;
-//   - the cached 64-bit hash (fault::ChannelHash — FNV-1a + avalanche,
+//   - the cached 64-bit hash (ChannelHash — FNV-1a + avalanche,
 //     platform-stable) filters out almost every non-matching slot before
 //     any string comparison;
 //   - robin-hood insertion ("steal from the rich") bounds the variance of

@@ -110,6 +110,15 @@ Status Simulator::Prepare() {
         MixHash(spec.seed, static_cast<uint64_t>(u)));
   }
 
+  // Run asks about the minute of day at the middle of every hour; those
+  // repeat daily, so the first day's hours name them all.
+  std::vector<int> minutes;
+  for (int hh = 0; hh < std::min(hours_, 24); ++hh) {
+    minutes.push_back(
+        MinuteOfDay(ambient_->TimeOfHour(hh) + kSecondsPerHour / 2));
+  }
+  hour_buckets_ = MinuteBuckets(mrt_, minutes);
+
   IMCF_RETURN_IF_ERROR(RebuildPlan());
 
   prepared_ = true;
@@ -261,6 +270,7 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
   core::SlotProblem problem;
   InitGroups(spec.units, &problem);
   std::vector<int> hour_minutes;  // minute of day at each slot hour's middle
+  std::vector<int> rule_hours;    // ActivateRules scratch
   std::vector<int> dropped_ids;
   std::vector<char> accepted;  // firewall verdict per active rule
   std::vector<const rules::MetaRule*> necessity_active;
@@ -304,7 +314,8 @@ Result<SimulationReport> Simulator::Run(Policy policy, int rep,
       }
       problem.groups[static_cast<size_t>(g)].ambient = mean_ambient / span;
     }
-    ActivateRules(mrt_, hour_minutes, unit_models_, &problem);
+    ActivateRules(mrt_, hour_buckets_, hour_minutes, unit_models_, &problem,
+                  &rule_hours);
 
     // Necessity rules: executed by every policy; their estimated load is
     // charged before the planner sees the budget.

@@ -39,6 +39,7 @@
 #include "firewall/imcf_firewall.h"
 #include "rules/meta_rule.h"
 #include "rules/trigger_rule.h"
+#include "sim/slot_step.h"
 #include "trace/dataset.h"
 
 namespace imcf {
@@ -220,6 +221,9 @@ class Simulator {
   /// Device id per device group (sim/slot_step.h), precomputed so the hot
   /// loop avoids registry scans.
   std::vector<devices::DeviceId> group_devices_;
+  /// The MRT's convenience rules by the minute of day at the middle of each
+  /// hour of the span (at most 24 buckets), for ActivateRules.
+  MinuteBuckets hour_buckets_;
 
   Status RebuildPlan();
 };

@@ -1,6 +1,7 @@
 #include "sim/slot_step.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace imcf {
 namespace sim {
@@ -34,19 +35,62 @@ int HoursInWindow(const TimeWindow& window,
   return hours;
 }
 
+MinuteBuckets::MinuteBuckets(const rules::MetaRuleTable& mrt,
+                             std::span<const int> minutes)
+    : minutes_(minutes.begin(), minutes.end()) {
+  std::sort(minutes_.begin(), minutes_.end());
+  minutes_.erase(std::unique(minutes_.begin(), minutes_.end()),
+                 minutes_.end());
+  offsets_.reserve(minutes_.size() + 1);
+  offsets_.push_back(0);
+  for (const int minute : minutes_) {
+    for (size_t i = 0; i < mrt.convenience_count(); ++i) {
+      if (mrt.ConvenienceRule(i).window.ContainsMinute(minute)) {
+        rules_.push_back(static_cast<int>(i));
+      }
+    }
+    offsets_.push_back(static_cast<int>(rules_.size()));
+  }
+}
+
+std::span<const int> MinuteBuckets::RulesAt(int minute) const {
+  const auto it = std::lower_bound(minutes_.begin(), minutes_.end(), minute);
+  if (it == minutes_.end() || *it != minute) return {};
+  const size_t b = static_cast<size_t>(it - minutes_.begin());
+  return std::span<const int>(rules_).subspan(
+      static_cast<size_t>(offsets_[b]),
+      static_cast<size_t>(offsets_[b + 1] - offsets_[b]));
+}
+
 void ActivateRules(const rules::MetaRuleTable& mrt,
+                   const MinuteBuckets& buckets,
                    std::span<const int> hour_minutes,
                    const devices::UnitEnergyModels& models,
-                   core::SlotProblem* problem) {
+                   core::SlotProblem* problem, std::vector<int>* rule_hours) {
   const size_t n_rules = mrt.convenience_count();
   problem->n_rules = static_cast<int>(n_rules);
   problem->active.clear();
-  for (size_t i = 0; i < n_rules; ++i) {
+  if (rule_hours->size() < n_rules) rule_hours->resize(n_rules, 0);
+  // A rule's hours are the slot minutes whose bucket holds it; each rule
+  // joins `active` the first time one does.
+  for (const int minute : hour_minutes) {
+    for (const int i : buckets.RulesAt(minute)) {
+      if ((*rule_hours)[static_cast<size_t>(i)]++ == 0) {
+        problem->active.push_back({.rule_index = i});
+      }
+    }
+  }
+  // One bucket is already in table order; several interleave.
+  if (hour_minutes.size() > 1) {
+    std::sort(problem->active.begin(), problem->active.end(),
+              [](const core::ActiveRule& a, const core::ActiveRule& b) {
+                return a.rule_index < b.rule_index;
+              });
+  }
+  for (core::ActiveRule& active : problem->active) {
+    const size_t i = static_cast<size_t>(active.rule_index);
+    const int hours = std::exchange((*rule_hours)[i], 0);
     const rules::MetaRule& rule = mrt.ConvenienceRule(i);
-    const int hours = HoursInWindow(rule.window, hour_minutes);
-    if (hours == 0) continue;
-    core::ActiveRule active;
-    active.rule_index = static_cast<int>(i);
     active.group = GroupId(rule.unit, rule.TargetKind());
     active.desired = rule.value;
     active.type = rule.TargetCommand();
@@ -58,7 +102,6 @@ void ActivateRules(const rules::MetaRuleTable& mrt,
     // outranks one active a single hour.
     active.drop_error =
         core::NormalizedError(active.type, rule.value, amb) * hours;
-    problem->active.push_back(active);
   }
 }
 

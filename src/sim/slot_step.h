@@ -1,10 +1,11 @@
 // The pieces of one planning slot (Algorithm 1's loop body).
 //
 // A slot step activates the convenience rules whose daily window covers
-// the slot, plans, lets the firewall enforce the plan, and charges what the
-// devices then hold. Simulator::Run and the prototype's hourly Energy
-// Planner job (controller/prototype.cc) both run it through these helpers;
-// each caller keeps only its own ambient source and its own accounting.
+// the slot (read from minute buckets built once per rule table), plans,
+// lets the firewall enforce the plan, and charges what the devices then
+// hold. Simulator::Run and the prototype's hourly Energy Planner job
+// (controller/prototype.cc) both run it through these helpers; each caller
+// keeps only its own ambient source and its own accounting.
 //
 // Device groups: every unit has one HVAC and one luminaire, and group
 // `unit * 2 + (light ? 1 : 0)` names that device. Rules on the same group
@@ -63,14 +64,40 @@ devices::ActuationCommand GroupCommand(
 /// fall inside `window`.
 int HoursInWindow(const TimeWindow& window, std::span<const int> hour_minutes);
 
+/// The convenience rules of one table by minute of day, for the minutes a
+/// planner asks about: rule windows are daily, and a run asks only about
+/// the minute at the middle of each slot hour, so a run has at most 24
+/// distinct minutes whatever its length. Holds, per distinct minute, the
+/// ascending indices of the rules whose window contains it. Read-only once
+/// built, so concurrent runs may share one.
+class MinuteBuckets {
+ public:
+  MinuteBuckets() = default;
+
+  /// One bucket per distinct value of `minutes`.
+  MinuteBuckets(const rules::MetaRuleTable& mrt, std::span<const int> minutes);
+
+  /// Ascending convenience-rule indices whose window contains `minute`;
+  /// empty for a minute the buckets were not built for.
+  std::span<const int> RulesAt(int minute) const;
+
+ private:
+  std::vector<int> minutes_;  // distinct, ascending
+  std::vector<int> offsets_;  // bucket b: rules_[offsets_[b], offsets_[b+1])
+  std::vector<int> rules_;
+};
+
 /// Rebuilds `problem->active` (and sets `n_rules`): every convenience rule
 /// of `mrt` whose window holds at least one of `hour_minutes`, in table
 /// order, priced at its group's planning ambient (`problem->groups`) for
-/// the hours it covers.
+/// the hours it covers. Reads the rules from `buckets`, which must hold
+/// every minute of `hour_minutes`. `rule_hours` is scratch: one count per
+/// convenience rule, all zero between calls (it starts empty).
 void ActivateRules(const rules::MetaRuleTable& mrt,
+                   const MinuteBuckets& buckets,
                    std::span<const int> hour_minutes,
                    const devices::UnitEnergyModels& models,
-                   core::SlotProblem* problem);
+                   core::SlotProblem* problem, std::vector<int>* rule_hours);
 
 /// Lets `fw` enforce `plan`: installs the plan's dropped rules, then routes
 /// one "mrt" command per active rule, issued at `time`. `accepted[a]` is

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "devices/energy_model.h"
 
 namespace imcf {
@@ -36,6 +40,18 @@ TEST(DeviceRegistryTest, LookupById) {
   EXPECT_EQ((*thing)->unit, 3);
   EXPECT_EQ((*thing)->address, "10.0.0.9");
   EXPECT_TRUE(registry.Get(42).status().IsNotFound());
+}
+
+TEST(DeviceRegistryTest, StoresEachDeviceChannelHash) {
+  DeviceRegistry registry;
+  for (const std::string& name : std::vector<std::string>{
+           "unit00_ac", "unit49_light", "", std::string(63, 'x'), "a:b#7"}) {
+    ASSERT_TRUE(registry.Add(name, DeviceKind::kLight, 0).ok());
+  }
+  for (const Thing& thing : registry.things()) {
+    EXPECT_EQ(thing.channel_hash, ChannelHash("device:" + thing.name))
+        << thing.name;
+  }
 }
 
 TEST(DeviceRegistryTest, LookupByName) {

@@ -1,6 +1,7 @@
 // Differential oracle for CommandBus::Deliver against the string path it
-// replaced: FaultPlan::At on "device:" + name (or "device:#<id>") for every
-// attempt, under the retry loop written out.
+// replaced: the fault decision on "device:" + name (or "device:#<id>") for
+// every attempt, with the decision and the retry loop written out here so
+// the reference shares no fault code with the bus.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,35 @@ std::vector<int64_t> Row(const BusStats& s) {
           s.faults[3], s.faults[4]};
 }
 
+// FaultPlan's decision for a device channel: one uniform per draw from two
+// nested MixHashes of (seed ^ domain, channel hash, time or stuck window),
+// sliced into disjoint drop / delay / transient intervals.
+FaultDecision ReferenceAt(const FaultOptions& options,
+                          const std::string& channel, SimTime t) {
+  const FaultRates& rates = options.device;
+  auto uniform = [&](uint64_t domain, int64_t x) {
+    const uint64_t h = MixHash(MixHash(options.seed ^ domain,
+                                       ChannelHash(channel)),
+                               static_cast<uint64_t>(x));
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+  };
+  const SimTime w = rates.stuck_window_seconds;
+  const int64_t window = t / w - (t % w != 0 && t < 0 ? 1 : 0);
+  if (rates.stuck_prob > 0.0 &&
+      uniform(0xFA1757CC, window) < rates.stuck_prob) {
+    return {FaultKind::kStuck, 0};
+  }
+  const double u = uniform(0xFA17A77E, t);
+  if (u < rates.drop_prob) return {FaultKind::kDrop, 0};
+  if (u < rates.drop_prob + rates.delay_prob) {
+    return {FaultKind::kDelay, rates.delay_seconds};
+  }
+  if (u < rates.drop_prob + rates.delay_prob + rates.transient_error_prob) {
+    return {FaultKind::kTransientError, 0};
+  }
+  return {};
+}
+
 Delivery ReferenceDeliver(const FaultPlan& plan, const RetryPolicy& policy,
                           const devices::DeviceRegistry* registry,
                           devices::DeviceId device, SimTime start,
@@ -49,7 +79,8 @@ Delivery ReferenceDeliver(const FaultPlan& plan, const RetryPolicy& policy,
       elapsed += backoff;
     }
     ++d.attempts;
-    const FaultDecision decision = plan.At(channel, start + elapsed);
+    const FaultDecision decision =
+        ReferenceAt(plan.options(), channel, start + elapsed);
     if (decision.faulted()) ++stats->faults[static_cast<int>(decision.kind)];
     d.last_fault = decision.delay_seconds > policy.attempt_timeout_seconds
                        ? FaultKind::kDrop
@@ -142,6 +173,27 @@ TEST(CommandBusOracleTest, RegistrylessAndLongNamesMatchTheStringPath) {
                        0, "10.0.0.1");
   }
   ExpectBusMatchesReference(&registry, 3, 0xB05110);
+}
+
+TEST(CommandBusOracleTest, DeviceAddedAfterTheBusIsBuiltMatches) {
+  devices::DeviceRegistry registry;
+  ASSERT_TRUE(registry.Add("hall_ac", devices::DeviceKind::kHvac, 0).ok());
+  const FaultPlan plan(FaultOptions::UniformRate(0.6, /*seed=*/0xB05200));
+  CommandBus bus(&plan, RetryPolicy{}, &registry);
+  // Id 1 is named only after the bus exists; id 2 stays unknown.
+  ASSERT_TRUE(registry.Add("hall_light", devices::DeviceKind::kLight, 0).ok());
+  BusStats want;
+  std::vector<Event> want_events;
+  for (int k = 0; k < 900; ++k) {
+    devices::ActuationCommand cmd;
+    cmd.device = static_cast<devices::DeviceId>(k % 3);
+    cmd.time = FromCivil(2015, 1, 1) + k * 1237;
+    ASSERT_EQ(Row(bus.Deliver(cmd)),
+              Row(ReferenceDeliver(plan, RetryPolicy{}, &registry, cmd.device,
+                                   cmd.time, &want, &want_events)))
+        << k;
+  }
+  EXPECT_EQ(Row(bus.stats()), Row(want));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "common/rng.h"
+
 namespace imcf {
 namespace fault {
 namespace {

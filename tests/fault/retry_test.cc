@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "common/rng.h"
 
 namespace imcf {
 namespace fault {
@@ -29,6 +32,30 @@ TEST(RetryPolicyTest, BackoffIsCapped) {
   policy.max_backoff_seconds = 30;
   policy.jitter_fraction = 0.0;
   EXPECT_EQ(policy.BackoffSeconds(5, 1), 30);
+}
+
+// Pins BackoffSeconds bit for bit against its formula written out: growth
+// min(initial * multiplier^(n-1), max), times a jitter from the stream
+// Rng(MixHash(token, n)).
+TEST(RetryPolicyTest, BackoffMatchesTheWrittenOutFormula) {
+  for (const double multiplier : {2.0, 1.5, 3.7}) {
+    RetryPolicy policy;
+    policy.initial_backoff_seconds = 3;
+    policy.backoff_multiplier = multiplier;
+    policy.max_backoff_seconds = 500;  // 3.7 reaches it by retry 5
+    policy.jitter_fraction = 0.3;
+    for (int retry = 1; retry <= 8; ++retry) {
+      for (const uint64_t token : {0ULL, 42ULL, 0xFEEDFACECAFEBEEFULL}) {
+        const double growth =
+            std::min(3.0 * std::pow(multiplier, retry - 1), 500.0);
+        Rng rng(MixHash(token, static_cast<uint64_t>(retry)));
+        const double jitter = 1.0 + rng.UniformDouble() * 0.3;
+        EXPECT_EQ(policy.BackoffSeconds(retry, token),
+                  std::llround(growth * jitter))
+            << multiplier << " retry " << retry << " token " << token;
+      }
+    }
+  }
 }
 
 TEST(RetryPolicyTest, BackoffDeterministicPerToken) {
