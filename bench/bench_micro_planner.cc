@@ -2,8 +2,9 @@
 // slot evaluation, k-flip delta evaluation, per-slot planning at several
 // rule-table sizes, firewall filtering, trace generation and the weather /
 // ambient models. These back the F_T claims of Fig. 6 with component-level
-// numbers. BM_TracedSpan prices the one timing primitive itself, and
-// BM_SimRun one whole faulted dorms plan.
+// numbers. BM_TracedSpan prices the one timing primitive itself,
+// BM_SimRun one whole faulted dorms plan, and BM_AdmitTenant one tenant
+// admission.
 
 #include <benchmark/benchmark.h>
 
@@ -292,14 +293,44 @@ void BM_TraceGenerationDay(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGenerationDay);
 
-void BM_BuildHourlyAmbientWeek(benchmark::State& state) {
-  const trace::DatasetSpec spec = trace::FlatSpec();
+// One week of a dataset's hourly ambient series: `flat` has one unit,
+// `dorms` 100 units that share each hour's weather.
+void BM_BuildHourlyAmbientWeek(benchmark::State& state,
+                               trace::DatasetSpec (*make_spec)()) {
+  const trace::DatasetSpec spec = make_spec();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         trace::BuildHourlyAmbient(spec, FromCivil(2014, 1, 1), 7 * 24));
   }
 }
-BENCHMARK(BM_BuildHourlyAmbientWeek);
+BENCHMARK_CAPTURE(BM_BuildHourlyAmbientWeek, flat, &trace::FlatSpec);
+BENCHMARK_CAPTURE(BM_BuildHourlyAmbientWeek, dorms, &trace::DormsSpec);
+
+// One tenant admission of the wire benchmark's config shape (a 24-hour
+// planning window from the evaluation start): rule table, devices,
+// ambient series, minute buckets, plan state and the conflict pass. The
+// tenant is removed, untimed, before the next admission.
+void BM_AdmitTenant(benchmark::State& state, const char* dataset) {
+  serve::TenantRegistry registry;
+  serve::TenantConfig config;
+  config.id = std::string("home_") + dataset;
+  config.dataset = dataset;
+  config.seed = 4;
+  config.hours = 24;
+  for (auto _ : state) {
+    const Status admitted = registry.Admit(config);
+    state.PauseTiming();
+    if (!admitted.ok() || !registry.Remove(config.id).ok()) {
+      state.SkipWithError("admit/remove failed");
+      break;
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_AdmitTenant, flat, "flat");
+BENCHMARK_CAPTURE(BM_AdmitTenant, house, "house");
+BENCHMARK_CAPTURE(BM_AdmitTenant, dorms, "dorms");
 
 // One recorded span under a root context: Arg(0) with no sinks, Arg(1)
 // with the planner step's sinks (histogram, F_T total, kPlan charge).

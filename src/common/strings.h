@@ -4,6 +4,7 @@
 #ifndef IMCF_COMMON_STRINGS_H_
 #define IMCF_COMMON_STRINGS_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,10 @@ Result<int64_t> ParseInt(std::string_view text);
 
 /// Parses a floating-point number, rejecting trailing garbage.
 Result<double> ParseDouble(std::string_view text);
+
+/// Longest result StrFormat formats in a single pass (into a stack
+/// buffer); a longer one takes a second, sized pass.
+inline constexpr size_t kStrFormatOnePassChars = 127;
 
 /// snprintf into a std::string. Marked printf-like so the compiler checks
 /// format arguments.

@@ -33,13 +33,13 @@ const char* CommandTypeName(CommandType type) {
 
 Result<DeviceId> DeviceRegistry::Add(std::string name, DeviceKind kind,
                                      int unit, std::string address) {
-  for (const Thing& t : things_) {
-    if (t.name == name) {
-      return Status::AlreadyExists("device name taken: " + name);
-    }
+  const auto [it, inserted] = ids_by_name_.try_emplace(
+      name, static_cast<DeviceId>(things_.size()));
+  if (!inserted) {
+    return Status::AlreadyExists("device name taken: " + name);
   }
   Thing t;
-  t.id = static_cast<DeviceId>(things_.size());
+  t.id = it->second;
   t.name = std::move(name);
   t.channel_hash = ChannelHash("device:", t.name);
   t.kind = kind;
@@ -57,10 +57,11 @@ Result<const Thing*> DeviceRegistry::Get(DeviceId id) const {
 }
 
 Result<const Thing*> DeviceRegistry::FindByName(const std::string& name) const {
-  for (const Thing& t : things_) {
-    if (t.name == name) return &t;
+  const auto it = ids_by_name_.find(name);
+  if (it == ids_by_name_.end()) {
+    return Status::NotFound("no device named: " + name);
   }
-  return Status::NotFound("no device named: " + name);
+  return &things_[it->second];
 }
 
 Result<DeviceId> DeviceRegistry::FindByUnitAndKind(int unit,

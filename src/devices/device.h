@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -69,6 +70,8 @@ class DeviceRegistry {
 
  private:
   std::vector<Thing> things_;
+  /// Name -> id of every registered Thing (duplicate checks, FindByName).
+  std::unordered_map<std::string, DeviceId> ids_by_name_;
 };
 
 /// Command types a meta-rule or IFTTT recipe can issue (Table II/III

@@ -1,6 +1,7 @@
 #include "rules/meta_rule.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/strings.h"
 #include "common/units.h"
@@ -39,6 +40,11 @@ Status MetaRuleTable::Add(MetaRule rule) {
   }
   rules_.push_back(std::move(rule));
   return Status::Ok();
+}
+
+void MetaRuleTable::Reserve(size_t rules, size_t convenience) {
+  rules_.reserve(rules);
+  convenience_ids_.reserve(convenience);
 }
 
 std::vector<int> MetaRuleTable::NecessityActiveAt(SimTime t) const {
@@ -134,6 +140,9 @@ MetaRuleTable FlatMrt(double budget_kwh) {
 MetaRuleTable VariedMrt(int units, double variation, uint64_t seed,
                         double budget_kwh) {
   MetaRuleTable table;
+  const size_t convenience =
+      static_cast<size_t>(std::max(units, 0)) * std::size(kFlatRules);
+  table.Reserve(convenience + (budget_kwh > 0.0 ? 1 : 0), convenience);
   Rng rng(seed);
   for (int u = 0; u < units; ++u) {
     int priority = 0;

@@ -68,6 +68,10 @@ class MetaRuleTable {
   /// Appends a rule; assigns its id. kWh-limit rules must be non-negative.
   Status Add(MetaRule rule);
 
+  /// Reserves room for `rules` rules, `convenience` of them convenience
+  /// rules.
+  void Reserve(size_t rules, size_t convenience);
+
   const std::vector<MetaRule>& rules() const { return rules_; }
   size_t size() const { return rules_.size(); }
 

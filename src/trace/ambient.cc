@@ -26,40 +26,62 @@ AmbientModel::AmbientModel(const weather::WeatherService* weather,
                            AmbientModelOptions options, uint64_t unit_seed)
     : weather_(weather), options_(options), unit_seed_(unit_seed) {}
 
-double AmbientModel::HourNoise(SimTime t, uint64_t stream,
-                               double stddev) const {
-  const int64_t hour = HourIndex(t);
-  const double frac =
-      static_cast<double>(t - hour * kSecondsPerHour) / kSecondsPerHour;
-  const double a =
-      HashGaussian(MixHash(unit_seed_ ^ stream, static_cast<uint64_t>(hour)));
-  const double b = HashGaussian(
-      MixHash(unit_seed_ ^ stream, static_cast<uint64_t>(hour + 1)));
-  // Cosine blend keeps the noise continuous at hour boundaries.
-  const double w = 0.5 - 0.5 * std::cos(M_PI * frac);
-  return stddev * Lerp(a, b, w);
+SimTime AmbientModel::LaggedTime(SimTime t) const {
+  return t -
+         static_cast<SimTime>(options_.thermal_lag_hours * kSecondsPerHour);
 }
 
-double AmbientModel::IndoorTempC(SimTime t) const {
-  const SimTime lagged =
-      t - static_cast<SimTime>(options_.thermal_lag_hours * kSecondsPerHour);
-  const weather::WeatherSample w = weather_->At(lagged);
+double AmbientModel::TempBaseC(const weather::WeatherSample& lagged,
+                               SimTime t) const {
   const double envelope =
       options_.neutral_temp_c +
       options_.coupling *
-          (w.outdoor_daily_mean_c - options_.neutral_temp_c) +
-      options_.diurnal_coupling * (w.outdoor_temp_c - w.outdoor_daily_mean_c);
+          (lagged.outdoor_daily_mean_c - options_.neutral_temp_c) +
+      options_.diurnal_coupling *
+          (lagged.outdoor_temp_c - lagged.outdoor_daily_mean_c);
   const double bias =
       options_.monthly_bias_c[static_cast<size_t>(ToCivil(t).month - 1)];
-  return envelope + options_.internal_gain_c + bias +
-         HourNoise(t, 0xA1B2ULL, options_.temp_noise_c);
+  return envelope + options_.internal_gain_c + bias;
+}
+
+double AmbientModel::LightBasePct(const weather::WeatherSample& now) const {
+  return 100.0 * options_.window_factor * now.daylight;
+}
+
+double AmbientModel::BlendWeight(SimTime t) {
+  const double frac =
+      static_cast<double>(t - HourIndex(t) * kSecondsPerHour) /
+      kSecondsPerHour;
+  return 0.5 - 0.5 * std::cos(M_PI * frac);
+}
+
+double AmbientModel::BoundaryDraw(uint64_t stream, int64_t hour) const {
+  return HashGaussian(
+      MixHash(unit_seed_ ^ stream, static_cast<uint64_t>(hour)));
+}
+
+double AmbientModel::TempC(double base, double blend, double a,
+                           double b) const {
+  return base + options_.temp_noise_c * Lerp(a, b, blend);
+}
+
+double AmbientModel::LightPct(double base, double blend, double a,
+                              double b) const {
+  return Clamp(base + options_.light_noise * Lerp(a, b, blend), 0.0, 100.0);
+}
+
+double AmbientModel::IndoorTempC(SimTime t) const {
+  const int64_t hour = HourIndex(t);
+  return TempC(TempBaseC(weather_->At(LaggedTime(t)), t), BlendWeight(t),
+               BoundaryDraw(kTempStream, hour),
+               BoundaryDraw(kTempStream, hour + 1));
 }
 
 double AmbientModel::IndoorLightPct(SimTime t) const {
-  const weather::WeatherSample w = weather_->At(t);
-  const double light = 100.0 * options_.window_factor * w.daylight +
-                       HourNoise(t, 0xC3D4ULL, options_.light_noise);
-  return Clamp(light, 0.0, 100.0);
+  const int64_t hour = HourIndex(t);
+  return LightPct(LightBasePct(weather_->At(t)), BlendWeight(t),
+                  BoundaryDraw(kLightStream, hour),
+                  BoundaryDraw(kLightStream, hour + 1));
 }
 
 bool AmbientModel::DoorOpen(SimTime t) const {

@@ -46,8 +46,19 @@ struct AmbientModelOptions {
 
 /// Deterministic ambient model for one unit. Pure function of time, so the
 /// simulator can sample it at any granularity without storing traces.
+///
+/// Every value splits by what it varies with. The weather sample, the
+/// month's bias and the cosine blend weight depend only on the time and
+/// the dataset (all units of a dataset share one climate and one set of
+/// options); the hash noise drawn at each hour boundary depends on the
+/// unit. The point queries and BuildHourlyAmbient (dataset.h) both combine
+/// those parts through TempC / LightPct below, the one copy of the formula.
 class AmbientModel {
  public:
+  /// Hash streams of the two noise series (one draw per hour boundary).
+  static constexpr uint64_t kTempStream = 0xA1B2ULL;
+  static constexpr uint64_t kLightStream = 0xC3D4ULL;
+
   /// `unit_seed` differentiates units of a replicated dataset ("mixing up
   /// the readings" in the paper's dataset construction).
   AmbientModel(const weather::WeatherService* weather,
@@ -65,10 +76,35 @@ class AmbientModel {
 
   const AmbientModelOptions& options() const { return options_; }
 
- private:
-  /// Smooth per-hour noise: hash noise at hour boundaries, cosine-blended.
-  double HourNoise(SimTime t, uint64_t stream, double stddev) const;
+  // The parts the two queries are built from.
 
+  /// The time whose weather the temperature envelope follows at `t`.
+  SimTime LaggedTime(SimTime t) const;
+
+  /// Temperature before the unit's noise: envelope of the lagged weather,
+  /// internal gains and the bias of `t`'s month.
+  double TempBaseC(const weather::WeatherSample& lagged, SimTime t) const;
+
+  /// Light before the unit's noise: outdoor daylight through the window.
+  double LightBasePct(const weather::WeatherSample& now) const;
+
+  /// Weight of the later hour boundary's draw at `t`: a cosine blend that
+  /// keeps the noise continuous across hour boundaries.
+  static double BlendWeight(SimTime t);
+
+  /// The unit's noise draw (in stddevs) of `stream` at the start of
+  /// `hour` (an HourIndex). The draw at hour h+1 ends hour h's blend and
+  /// starts hour h+1's.
+  double BoundaryDraw(uint64_t stream, int64_t hour) const;
+
+  /// Indoor temperature from its base, the blend weight and the draws at
+  /// the start (`a`) and end (`b`) of the hour.
+  double TempC(double base, double blend, double a, double b) const;
+
+  /// Indoor light from its base, the blend weight and the boundary draws.
+  double LightPct(double base, double blend, double a, double b) const;
+
+ private:
   const weather::WeatherService* weather_;  // not owned
   AmbientModelOptions options_;
   uint64_t unit_seed_;

@@ -134,13 +134,44 @@ HourlyAmbient BuildHourlyAmbient(const DatasetSpec& spec, SimTime start,
                                  int hours) {
   HourlyAmbient out(start, hours, spec.units);
   weather::SyntheticWeather weather(spec.climate);
+  const size_t n = static_cast<size_t>(hours);
+
+  // Per hour, shared by every unit: the noise-free bases (two weather
+  // samples and the month's bias) and the blend weight at the midpoint.
+  const AmbientModel shared(&weather, spec.ambient, /*unit_seed=*/0);
+  std::vector<double> temp_base(n), light_base(n), blend(n);
+  for (size_t h = 0; h < n; ++h) {
+    const SimTime midpoint =
+        out.TimeOfHour(static_cast<int>(h)) + kSecondsPerHour / 2;
+    temp_base[h] =
+        shared.TempBaseC(weather.At(shared.LaggedTime(midpoint)), midpoint);
+    light_base[h] = shared.LightBasePct(weather.At(midpoint));
+    blend[h] = AmbientModel::BlendWeight(midpoint);
+  }
+
+  // Per unit, one draw per hour boundary: hour h blends draws h and h+1.
+  // Midpoints are an hour apart, so hour h's midpoint lies in hour
+  // first_hour + h.
+  const int64_t first_hour = HourIndex(start + kSecondsPerHour / 2);
+  std::vector<double> temp_draw(n + 1), light_draw(n + 1);
   for (int u = 0; u < spec.units; ++u) {
-    AmbientModel model(&weather, spec.ambient,
-                       MixHash(spec.seed, static_cast<uint64_t>(u)));
-    for (int h = 0; h < hours; ++h) {
-      const SimTime midpoint = out.TimeOfHour(h) + kSecondsPerHour / 2;
-      out.set_temp(u, h, static_cast<float>(model.IndoorTempC(midpoint)));
-      out.set_light(u, h, static_cast<float>(model.IndoorLightPct(midpoint)));
+    const AmbientModel model(&weather, spec.ambient,
+                             MixHash(spec.seed, static_cast<uint64_t>(u)));
+    for (size_t k = 0; k <= n; ++k) {
+      const int64_t hour = first_hour + static_cast<int64_t>(k);
+      temp_draw[k] = model.BoundaryDraw(AmbientModel::kTempStream, hour);
+      light_draw[k] = model.BoundaryDraw(AmbientModel::kLightStream, hour);
+    }
+    for (size_t h = 0; h < n; ++h) {
+      const int hi = static_cast<int>(h);
+      out.set_temp(u, hi,
+                   static_cast<float>(model.TempC(temp_base[h], blend[h],
+                                                  temp_draw[h],
+                                                  temp_draw[h + 1])));
+      out.set_light(u, hi,
+                    static_cast<float>(model.LightPct(light_base[h], blend[h],
+                                                      light_draw[h],
+                                                      light_draw[h + 1])));
     }
   }
   return out;

@@ -77,6 +77,23 @@ TEST(StrFormatTest, LongOutput) {
   EXPECT_EQ(out.back(), ']');
 }
 
+TEST(StrFormatTest, ResultsAroundTheOnePassBuffer) {
+  // N = kStrFormatOnePassChars is the longest result formatted in one pass;
+  // N + 1 takes the sized second pass.
+  for (size_t len : {kStrFormatOnePassChars - 1, kStrFormatOnePassChars,
+                     kStrFormatOnePassChars + 1}) {
+    const std::string body(len - 2, 'x');
+    const std::string out = StrFormat("<%s>", body.c_str());
+    EXPECT_EQ(out.size(), len);
+    EXPECT_EQ(out, "<" + body + ">");
+  }
+}
+
+TEST(StrFormatTest, EmptyResult) {
+  EXPECT_EQ(StrFormat("%s", ""), "");
+  EXPECT_TRUE(StrFormat("%.0s", "ignored").empty());
+}
+
 TEST(JoinTest, Basics) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({"solo"}, ","), "solo");

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "devices/energy_model.h"
 
 namespace imcf {
@@ -29,6 +30,33 @@ TEST(DeviceRegistryTest, RejectsDuplicateNames) {
   ASSERT_TRUE(registry.Add("ac", DeviceKind::kHvac, 0).ok());
   EXPECT_TRUE(
       registry.Add("ac", DeviceKind::kLight, 1).status().IsAlreadyExists());
+}
+
+TEST(DeviceRegistryTest, TwoHundredDevicesRefuseEveryDuplicate) {
+  DeviceRegistry registry;
+  std::vector<std::string> names;
+  for (int i = 0; i < 200; ++i) {
+    names.push_back(StrFormat("unit%02d_%s", i / 2, i % 2 ? "light" : "ac"));
+    const DeviceKind kind = i % 2 ? DeviceKind::kLight : DeviceKind::kHvac;
+    const auto id = registry.Add(names.back(), kind, i / 2,
+                                 StrFormat("10.0.%d.%d", i / 2, 1 + i % 2));
+    ASSERT_TRUE(id.ok()) << names.back();
+    EXPECT_EQ(*id, static_cast<DeviceId>(i));
+  }
+  for (const std::string& name : names) {
+    const Status refused = registry.Add(name, DeviceKind::kLight, 7).status();
+    EXPECT_TRUE(refused.IsAlreadyExists()) << name;
+    EXPECT_EQ(refused.message(), "device name taken: " + name);
+  }
+  ASSERT_EQ(registry.size(), 200u);
+  for (size_t i = 0; i < names.size(); ++i) {
+    const auto found = registry.FindByName(names[i]);
+    ASSERT_TRUE(found.ok()) << names[i];
+    EXPECT_EQ((*found)->id, static_cast<DeviceId>(i));
+    EXPECT_EQ((*found)->name, names[i]);
+  }
+  EXPECT_EQ(registry.FindByName("unit100_ac").status().message(),
+            "no device named: unit100_ac");
 }
 
 TEST(DeviceRegistryTest, LookupById) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/units.h"
+
 namespace imcf {
 namespace rules {
 namespace {
@@ -132,6 +138,69 @@ TEST(VariedMrtTest, VariationPerturbsButStaysValid) {
     if (rule.value != base.value) ++changed_values;
   }
   EXPECT_GT(changed_values, 250);  // nearly all of the 300 rules perturbed
+}
+
+// The per-unit loop VariedMrt ran before its table was reserved, written
+// out: the reference every rule of the reserved build must equal.
+std::vector<MetaRule> ReferenceVariedRules(int units, double variation,
+                                           uint64_t seed) {
+  const MetaRuleTable flat = FlatMrt();
+  std::vector<MetaRule> rules;
+  Rng rng(seed);
+  for (int u = 0; u < units; ++u) {
+    int priority = 0;
+    for (const MetaRule& row : flat.rules()) {
+      MetaRule rule;
+      rule.description = row.description + " (unit " + std::to_string(u) + ")";
+      int start = row.window.start_minute;
+      int end = row.window.end_minute;
+      double value = row.value;
+      if (variation > 0.0) {
+        const int shift = static_cast<int>(
+            rng.UniformInt(-static_cast<int64_t>(60 * variation),
+                           static_cast<int64_t>(60 * variation)));
+        start = std::clamp(start + shift, 0,
+                           static_cast<int>(kMinutesPerDay) - 30);
+        end = std::clamp(end + shift, start + 30,
+                         static_cast<int>(kMinutesPerDay));
+        if (row.action == RuleAction::kSetTemperature) {
+          value += rng.UniformDouble(-3.0 * variation, 3.0 * variation);
+          value = Clamp(value, 18.0, 27.0);
+        } else {
+          value += rng.UniformDouble(-20.0 * variation, 20.0 * variation);
+          value = Clamp(value, 5.0, 100.0);
+        }
+      }
+      rule.window = TimeWindow{start, end};
+      rule.action = row.action;
+      rule.value = value;
+      rule.unit = u;
+      rule.priority = priority++;
+      rule.id = static_cast<int>(rules.size());
+      rules.push_back(std::move(rule));
+    }
+  }
+  return rules;
+}
+
+TEST(VariedMrtTest, MatchesTheWrittenOutLoop) {
+  for (uint64_t seed : {uint64_t{13}, uint64_t{4242}}) {
+    const MetaRuleTable mrt = VariedMrt(100, 1.0, seed);
+    const std::vector<MetaRule> want = ReferenceVariedRules(100, 1.0, seed);
+    ASSERT_EQ(mrt.size(), want.size());
+    ASSERT_EQ(mrt.convenience_count(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      const MetaRule& got = mrt.rules()[i];
+      EXPECT_EQ(got.description, want[i].description);
+      EXPECT_EQ(got.window, want[i].window) << want[i].description;
+      EXPECT_EQ(got.value, want[i].value) << want[i].description;
+      EXPECT_EQ(got.id, want[i].id);
+      EXPECT_EQ(got.unit, want[i].unit);
+      EXPECT_EQ(got.priority, want[i].priority);
+      EXPECT_EQ(got.action, want[i].action);
+      EXPECT_EQ(mrt.convenience_ids()[i], want[i].id);
+    }
+  }
 }
 
 TEST(VariedMrtTest, DeterministicInSeed) {
